@@ -18,7 +18,6 @@
 //! process exits with [`sectlb_secbench::oracle::EXIT_SUSPECT`]. The CI
 //! oracle smoke job exercises exactly that path on this driver.
 
-use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
@@ -62,11 +61,11 @@ fn main() {
         prime_probe_attack(&key, design, &settings).accuracy()
     };
     obs.campaign_begin();
-    let outcome = campaign::run_campaign_observed(
+    let outcome = campaign::run_campaign(
         "attack_success",
         [seeds],
         &runs,
-        workers.unwrap_or(NonZeroUsize::MIN),
+        workers,
         &policy,
         obs.telemetry(),
         &|&(design, s)| format!("{design} TLB, seed {s}"),
@@ -100,9 +99,7 @@ fn main() {
     }
     let _ = attack_all_designs(&key, &AttackSettings::default());
     println!("(50% is chance level: the attacker learns nothing)");
-    if policy.wants_engine() || workers.is_some() {
-        outcome.eprint_summary();
-    }
+    outcome.eprint_summary();
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));

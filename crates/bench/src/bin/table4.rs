@@ -19,24 +19,19 @@
 //! [`sectlb_secbench::oracle::EXIT_SUSPECT`].
 //!
 //! The table is bitwise identical for every worker count; `--workers`
-//! only shards the 24×3-cell campaign across threads and reports the
-//! pool's throughput counters. With `--workers` or any fault-tolerance
-//! flag the campaign runs on the resilient engine: worker panics are
+//! only shards the 24×3-cell campaign across threads (one worker by
+//! default) and reports the pool's throughput counters. Worker panics are
 //! isolated and deterministically retried, progress is checkpointed
 //! crash-safely, and cells whose shards keep failing are quarantined in
 //! the rendered table (exit code 4) instead of aborting the run.
 
-use std::path::Path;
-
 use std::num::NonZeroUsize;
+use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
 use sectlb_secbench::oracle;
-use sectlb_secbench::report::{
-    build_table4_adaptive_observed_for, build_table4_resilient_observed_for,
-    build_table4_with_stats_for,
-};
+use sectlb_secbench::report::build_table4;
 use sectlb_secbench::run::TrialSettings;
 use sectlb_secbench::supervisor;
 use sectlb_sim::machine::TlbDesign;
@@ -49,116 +44,68 @@ fn main() {
     let designs = cli::designs_flag(&args).unwrap_or_else(|| TlbDesign::ALL.to_vec());
     let settings = TrialSettings {
         trials: cli::trials_flag(&args, TrialSettings::default().trials),
-        workers,
         oracle: cli::oracle_flags(&args, &policy, "table4"),
         ..TrialSettings::default()
     };
-    // --adaptive always runs on the engine (its round scheduler lives
-    // there), defaulting to one worker like the fault-tolerance flags.
-    let engine = campaign::engine_workers(workers, &policy).or(adaptive.map(|_| NonZeroUsize::MIN));
+    let worker_count = workers.unwrap_or(NonZeroUsize::MIN);
+    // A default invocation keeps its historical "(serial)" banner and no
+    // pool line: it is one worker, and prints exactly its table.
+    let report_pool = campaign::reports_pool(workers, &policy) || adaptive.is_some();
     eprintln!(
         "running {} trials x 2 placements x 24 vulnerabilities x {} designs ({}) ...",
         settings.trials,
         designs.len(),
-        match engine {
-            Some(w) if adaptive.is_some() =>
-                format!("{w} workers, resilient engine, adaptive early stopping"),
-            Some(w) => format!("{w} workers, resilient engine"),
-            None => "serial".to_owned(),
+        match adaptive {
+            _ if !report_pool => "serial".to_owned(),
+            Some(_) => format!("{worker_count} workers, resilient engine, adaptive early stopping"),
+            None => format!("{worker_count} workers, resilient engine"),
         }
     );
     let mut obs = Observability::from_args("table4", &args);
-    if let Some(engine_workers) = engine {
-        supervisor::install_signal_handlers();
-        obs.campaign_begin();
-        let built = match adaptive {
-            Some(a) => build_table4_adaptive_observed_for(
-                &designs,
-                &settings,
-                engine_workers,
-                &policy,
-                &a,
-                obs.telemetry(),
-            ),
-            None => build_table4_resilient_observed_for(
-                &designs,
-                &settings,
-                engine_workers,
-                &policy,
-                obs.telemetry(),
-            ),
-        };
-        obs.campaign_end();
-        let report = match built {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("{e}");
-                obs.finish(None);
-                std::process::exit(e.exit_code());
-            }
-        };
-        let summary = oracle::conclude("table4", Path::new("repro"));
-        println!("{}", report.render_with_suspects(&summary));
-        report.eprint_summary();
-        if !summary.is_empty() {
-            println!(
-                "WARNING: {} cell(s) SUSPECT; the TLB model misbehaved there",
-                summary.suspects.len()
-            );
-        } else if !report.partial.is_empty() {
-            println!(
-                "WARNING: {} cell(s) incomplete (budget); resume to finish the verdicts",
-                report.partial.len()
-            );
-        } else if report.quarantined.is_empty() && report.table.all_verdicts_match() {
-            println!("all measured defense verdicts match the theoretical ones");
-        } else if !report.quarantined.is_empty() {
-            println!(
-                "WARNING: {} cell(s) quarantined; verdicts incomplete",
-                report.quarantined.len()
-            );
-        } else {
-            println!("WARNING: some measured verdicts disagree with theory");
-        }
-        summary.eprint();
-        obs.oracle_summary(&summary);
-        obs.finish(Some(&report.stats));
-        std::process::exit(summary.exit_code(report.exit_code()));
-    }
+    supervisor::install_signal_handlers();
     obs.campaign_begin();
-    let (table, stats) = build_table4_with_stats_for(&designs, &settings);
+    let built = build_table4(
+        &designs,
+        &settings,
+        worker_count,
+        &policy,
+        adaptive,
+        obs.telemetry(),
+    );
     obs.campaign_end();
+    let report = match built {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            obs.finish(None);
+            std::process::exit(e.exit_code());
+        }
+    };
     let summary = oracle::conclude("table4", Path::new("repro"));
-    let suspect: Vec<(usize, usize)> = table
-        .rows
-        .iter()
-        .enumerate()
-        .flat_map(|(r, row)| {
-            let v = row.vulnerability.to_string();
-            designs
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| summary.affects(&[&v, d.name()]))
-                .map(|(c, _)| (r, c))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    println!("{}", table.render_annotated(&[], &suspect));
+    println!("{}", report.render_with_suspects(&summary));
+    report.eprint_summary(report_pool);
     if !summary.is_empty() {
         println!(
             "WARNING: {} cell(s) SUSPECT; the TLB model misbehaved there",
             summary.suspects.len()
         );
-    } else if table.all_verdicts_match() {
+    } else if !report.partial.is_empty() {
+        println!(
+            "WARNING: {} cell(s) incomplete (budget); resume to finish the verdicts",
+            report.partial.len()
+        );
+    } else if report.quarantined.is_empty() && report.table.all_verdicts_match() {
         println!("all measured defense verdicts match the theoretical ones");
+    } else if !report.quarantined.is_empty() {
+        println!(
+            "WARNING: {} cell(s) quarantined; verdicts incomplete",
+            report.quarantined.len()
+        );
     } else {
         println!("WARNING: some measured verdicts disagree with theory");
     }
-    if let Some(stats) = &stats {
-        println!("\n{}", stats.render());
-    }
     summary.eprint();
     obs.oracle_summary(&summary);
-    obs.finish(stats.as_ref());
-    std::process::exit(summary.exit_code(0));
+    obs.finish(Some(&report.stats));
+    std::process::exit(summary.exit_code(report.exit_code()));
 }

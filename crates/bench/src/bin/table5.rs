@@ -12,7 +12,6 @@
 //! built here, so the oracle can never find anything, but the
 //! conclude/exit-code plumbing still runs.
 
-use std::num::NonZeroUsize;
 use std::path::Path;
 
 use sectlb_area::{estimate, paper_table5};
@@ -44,11 +43,11 @@ fn main() {
     let paper_base = sectlb_area::paper::paper_baseline();
     let rows = paper_table5();
     obs.campaign_begin();
-    let outcome = campaign::run_campaign_observed(
+    let outcome = campaign::run_campaign(
         "table5",
         [0u64; 0],
         &rows,
-        workers.unwrap_or(NonZeroUsize::MIN),
+        workers,
         &policy,
         obs.telemetry(),
         &|row: &sectlb_area::paper::PaperRow| {
@@ -92,9 +91,7 @@ fn main() {
             }
         }
     }
-    if workers.is_some() || policy.wants_engine() {
-        outcome.eprint_summary();
-    }
+    outcome.eprint_summary();
     let summary = oracle::conclude("table5", Path::new("repro"));
     summary.eprint();
     obs.oracle_summary(&summary);

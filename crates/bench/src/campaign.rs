@@ -1,13 +1,12 @@
-//! Driver-side glue for the fault-tolerant campaign engine.
+//! Driver-side glue for the campaign engine.
 //!
-//! Every campaign binary shares the same resilience lifecycle: decide
-//! whether the resilient engine is wanted (either `--workers` or any
-//! fault-tolerance/budget flag), install the signal handlers, run the
-//! task list through
+//! Every campaign binary shares the same lifecycle: install the signal
+//! handlers, run the task list through
 //! [`sectlb_secbench::resilience::run_sharded_resilient`] with a
-//! driver-specific fingerprint, surface quarantined/stalled shards on
-//! stderr, and translate the outcome into a process exit code — see
-//! [`crate::exit`] for the full code table.
+//! driver-specific fingerprint (one worker unless `--workers` says
+//! otherwise), surface quarantined/stalled shards on stderr, and
+//! translate the outcome into a process exit code — see [`crate::exit`]
+//! for the full code table.
 //!
 //! A run the supervisor stopped early (wall-clock `--deadline` expiry or
 //! SIGINT/SIGTERM) is **not** an error: the engine drains, flushes the
@@ -18,25 +17,19 @@
 use std::num::NonZeroUsize;
 
 use sectlb_secbench::checkpoint::{fingerprint, fingerprint_str, Record};
-use sectlb_secbench::parallel::PoolStats;
 use sectlb_secbench::resilience::{
-    run_sharded_resilient_observed, CampaignError, RunPolicy, ShardOutcome, StallEvent,
+    run_sharded_resilient, CampaignError, PoolStats, RunPolicy, ShardOutcome, StallEvent,
 };
 use sectlb_secbench::supervisor::{self, StopReason};
 use sectlb_secbench::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
 
 use crate::exit::{EXIT_BUDGET, EXIT_OK, EXIT_QUARANTINED};
 
-/// Whether this invocation should route through the resilient engine, and
-/// with how many workers.
-///
-/// `--workers N` opts in with `N` workers; any fault-tolerance or budget
-/// flag (checkpoint, resume, retry tuning via kill/fault/stall switches,
-/// deadlines) opts in with a single worker so the flags work without
-/// `--workers`. `None` means the driver should keep its legacy (serial)
-/// path, whose output existing tests and scripts pin.
-pub fn engine_workers(workers: Option<NonZeroUsize>, policy: &RunPolicy) -> Option<NonZeroUsize> {
-    workers.or_else(|| policy.wants_engine().then_some(NonZeroUsize::MIN))
+/// Whether the pool's throughput line belongs on stderr: only when the
+/// invocation asked for the engine's features (`--workers` or any
+/// campaign flag), so a default one-worker run prints exactly its table.
+pub fn reports_pool(workers: Option<NonZeroUsize>, policy: &RunPolicy) -> bool {
+    workers.is_some() || *policy != RunPolicy::default()
 }
 
 /// A completed driver campaign: per-task outcomes (quarantined shards
@@ -55,6 +48,9 @@ pub struct DriverCampaign<R> {
     pub stalls: Vec<StallEvent>,
     /// Why the supervisor stopped the run early, if it did.
     pub stop: Option<StopReason>,
+    /// Whether [`DriverCampaign::eprint_summary`] prints the pool line
+    /// (see [`reports_pool`]).
+    pub report_pool: bool,
 }
 
 impl<R> DriverCampaign<R> {
@@ -73,7 +69,8 @@ impl<R> DriverCampaign<R> {
     }
 
     /// Prints the resume/quarantine/stall/stop/pool summary to stderr
-    /// (stdout is reserved for the table itself, which scripts diff).
+    /// (stdout is reserved for the table itself, which scripts diff). A
+    /// clean default run prints nothing.
     pub fn eprint_summary(&self) {
         if self.resumed > 0 {
             eprintln!(
@@ -97,7 +94,9 @@ impl<R> DriverCampaign<R> {
                 self.results.len()
             );
         }
-        eprintln!("pool: {}", self.stats.render());
+        if self.report_pool {
+            eprintln!("pool: {}", self.stats.render());
+        }
     }
 
     /// Maps every completed result, preserving gaps and counters — for
@@ -110,6 +109,7 @@ impl<R> DriverCampaign<R> {
             resumed: self.resumed,
             stalls: self.stalls,
             stop: self.stop,
+            report_pool: self.report_pool,
         }
     }
 
@@ -128,51 +128,25 @@ impl<R> DriverCampaign<R> {
     }
 }
 
-/// Runs a driver's task list through the resilient engine.
+/// Runs a driver's task list through the campaign engine on `workers`
+/// workers (the `--workers` flag; one worker when absent).
 ///
 /// Installs the SIGINT/SIGTERM handlers first, so an interrupted campaign
 /// drains through the same flush-checkpoint-render-partial path as a
 /// `--deadline` expiry. The campaign fingerprint — what a `--resume`
 /// checkpoint must match — combines the driver `name` with the
 /// driver-specific `coordinates` (trial counts, seeds, anything that
-/// changes results). On a
+/// changes results). `telemetry` receives the campaign start/stop
+/// envelope around the engine's per-shard event stream. On a
 /// [`sectlb_secbench::resilience::CampaignError`] (checkpoint problems,
 /// `--kill-after` interruption) the error is printed and the process
 /// exits with the error's code.
+#[allow(clippy::too_many_arguments)]
 pub fn run_campaign<T, R>(
     name: &str,
     coordinates: impl IntoIterator<Item = u64>,
     tasks: &[T],
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    label: &(dyn Fn(&T) -> String + Sync),
-    f: impl Fn(&T) -> R + Sync,
-) -> DriverCampaign<R>
-where
-    T: Sync,
-    R: Send + Record,
-{
-    run_campaign_observed(
-        name,
-        coordinates,
-        tasks,
-        workers,
-        policy,
-        &Telemetry::disabled(),
-        label,
-        f,
-    )
-}
-
-/// [`run_campaign`] with a telemetry handle: emits the campaign
-/// start/stop envelope around the engine's per-shard event stream. With
-/// a disabled handle the behavior is exactly [`run_campaign`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_observed<T, R>(
-    name: &str,
-    coordinates: impl IntoIterator<Item = u64>,
-    tasks: &[T],
-    workers: NonZeroUsize,
+    workers: Option<NonZeroUsize>,
     policy: &RunPolicy,
     telemetry: &Telemetry,
     label: &(dyn Fn(&T) -> String + Sync),
@@ -182,6 +156,8 @@ where
     T: Sync,
     R: Send + Record,
 {
+    let report_pool = reports_pool(workers, policy);
+    let workers = workers.unwrap_or(NonZeroUsize::MIN);
     supervisor::install_signal_handlers();
     let fp = fingerprint(fingerprint_str(name), coordinates);
     if telemetry.is_armed() {
@@ -192,7 +168,7 @@ where
             workers: workers.get() as u64,
         });
     }
-    match run_sharded_resilient_observed(tasks, workers, policy, fp, label, telemetry, f) {
+    match run_sharded_resilient(tasks, workers, policy, fp, label, telemetry, f) {
         Ok(run) => {
             if telemetry.is_armed() {
                 telemetry.emit(Event::CampaignStop {
@@ -209,6 +185,7 @@ where
                 resumed: run.resumed,
                 stalls: run.stalls,
                 stop: run.stop,
+                report_pool,
             }
         }
         Err(e) => {

@@ -1,12 +1,13 @@
 //! Flag parsing shared by every campaign driver binary.
 //!
-//! All drivers accept `--workers N` (parallel deterministic trial engine;
-//! `auto` picks the machine's available parallelism) and most accept
-//! `--trials N`. Campaign outputs are bitwise identical for every worker
-//! count — the flag only changes wall-clock time.
+//! All drivers accept `--workers N` (worker threads of the campaign
+//! engine, one by default; `auto` picks the machine's available
+//! parallelism) and most accept `--trials N`. Campaign outputs are
+//! bitwise identical for every worker count — the flag only changes
+//! wall-clock time.
 //!
-//! The fault-tolerance flags ([`parse_campaign`]) route a driver through
-//! the resilient engine (`sectlb_secbench::resilience`):
+//! The fault-tolerance flags ([`parse_campaign`]) configure the campaign
+//! engine (`sectlb_secbench::resilience`):
 //!
 //! - `--retries N` — deterministic re-runs per panicked shard (default 2)
 //! - `--checkpoint PATH` / `--checkpoint-every N` — crash-safe progress
@@ -20,11 +21,8 @@
 //! - `--inject-corruption[=PM]` — deterministically corrupt one TLB
 //!   entry in PM‰ of trials (default: all), keyed by trial seed; only
 //!   the shadow oracle can catch it
-//! - `--inject-worker-death W:K` — kill worker W's claim loop after K
-//!   completed shards; the supervision layer must reclaim the abandoned
-//!   shard and finish bitwise identical to an undisturbed run
 //! - `--inject-io KIND[:PM]` — deterministic storage faults on the
-//!   durable-write seam (checkpoints, the campaignd manifest): KIND is
+//!   durable-write seam (checkpoints, the event stream): KIND is
 //!   `torn` (prefix-only flush), `short-read`, `enospc`, or
 //!   `rename-fail`; PM is the per-mille rate (default 1000, every
 //!   matching operation)
@@ -91,10 +89,11 @@ pub(crate) fn flag_num<T: FromStr>(args: &[String], flag: &str) -> Result<Option
     }
 }
 
-/// Parses `--workers N` / `--workers auto`; `Ok(None)` when absent.
+/// Parses `--workers N` / `--workers auto`; `Ok(None)` when absent (the
+/// engine then runs one worker).
 ///
 /// `--workers 0` is rejected with a specific message: zero workers cannot
-/// make progress, and silently running serially would misreport what the
+/// make progress, and silently running one would misreport what the
 /// campaign did.
 pub fn parse_workers(args: &[String]) -> Result<Option<NonZeroUsize>, String> {
     match flag_value(args, "--workers").map_err(|_| WORKERS_USAGE.to_owned())? {
@@ -102,7 +101,7 @@ pub fn parse_workers(args: &[String]) -> Result<Option<NonZeroUsize>, String> {
         Some("auto") => Ok(Some(available_workers())),
         Some("0") => Err(
             "--workers must be at least 1: a pool of zero workers cannot run any trials \
-             (omit the flag for the serial path, or use 'auto' for all cores)"
+             (use 'auto' for all cores)"
                 .to_owned(),
         ),
         Some(n) => match n.parse::<usize>().ok().and_then(NonZeroUsize::new) {
@@ -115,8 +114,19 @@ pub fn parse_workers(args: &[String]) -> Result<Option<NonZeroUsize>, String> {
 const WORKERS_USAGE: &str = "--workers needs a positive number or 'auto'";
 
 /// Parses `--trials N`; `Ok(default)` when absent.
+///
+/// `--trials 0` is rejected: a cell with no trials has no miss
+/// probabilities, so every capacity would be undefined.
 pub fn parse_trials(args: &[String], default: u32) -> Result<u32, String> {
-    Ok(flag_num(args, "--trials")?.unwrap_or(default))
+    match flag_num(args, "--trials")? {
+        None => Ok(default),
+        Some(0) => Err(
+            "--trials must be at least 1: zero trials per placement measure no \
+             probabilities, so every channel capacity would be undefined"
+                .to_owned(),
+        ),
+        Some(n) => Ok(n),
+    }
 }
 
 /// Looks up a `--flag` / `--flag=VALUE` style flag (value attached with
@@ -175,9 +185,7 @@ pub fn parse_oracle(
 
 /// Parses the fault-tolerance flags into a [`RunPolicy`].
 ///
-/// With none of the flags present this returns `RunPolicy::default()`
-/// (and [`RunPolicy::wants_engine`] is false, so drivers keep their
-/// legacy paths).
+/// With none of the flags present this returns `RunPolicy::default()`.
 pub fn parse_campaign(args: &[String]) -> Result<RunPolicy, String> {
     let mut policy = RunPolicy::default();
     if let Some(retries) = flag_num::<u32>(args, "--retries")? {
@@ -262,31 +270,6 @@ pub fn parse_campaign(args: &[String]) -> Result<RunPolicy, String> {
     if let Some(pm) = eq_per_mille(args, "--inject-corruption")? {
         faults.corrupt_per_mille = pm;
         any_fault = true;
-    }
-    if let Some(spec) = flag_value(args, "--inject-worker-death")? {
-        let parsed = spec
-            .split_once(':')
-            .and_then(|(w, k)| Some((w.parse::<u32>().ok()?, k.parse::<u32>().ok()?)));
-        match parsed {
-            Some(death) => {
-                if policy.stop_after.is_some() {
-                    return Err(
-                        "--inject-worker-death conflicts with --kill-after: under a shard cap \
-                         the survivors idle-wait for the reclaimed shard the cap forbids them \
-                         to claim (use them in separate runs)"
-                            .to_owned(),
-                    );
-                }
-                faults.worker_death = Some(death);
-                any_fault = true;
-            }
-            None => {
-                return Err(format!(
-                    "--inject-worker-death needs W:K (kill worker W after K completed \
-                     shards), got {spec:?}"
-                ))
-            }
-        }
     }
     if let Some(fault) = parse_inject_io(args)? {
         faults.io = Some(fault);
@@ -480,7 +463,12 @@ mod tests {
         assert_eq!(parse_trials(&args(&["prog"]), 500), Ok(500));
         let policy = parse_campaign(&args(&["prog"])).expect("defaults");
         assert_eq!(policy, RunPolicy::default());
-        assert!(!policy.wants_engine());
+    }
+
+    #[test]
+    fn zero_trials_is_rejected_with_a_specific_message() {
+        let err = parse_trials(&args(&["prog", "--trials", "0"]), 500).expect_err("rejected");
+        assert!(err.contains("--trials must be at least 1"), "{err}");
     }
 
     #[test]
@@ -541,7 +529,6 @@ mod tests {
             "99",
         ]))
         .expect("parses");
-        assert!(policy.wants_engine());
         assert_eq!(policy.max_retries, 5);
         assert_eq!(policy.stop_after, Some(10));
         assert_eq!(policy.stall_deadline, Some(Duration::from_millis(250)));
@@ -577,13 +564,9 @@ mod tests {
     }
 
     #[test]
-    fn inject_corruption_arms_the_oracle_and_the_engine() {
+    fn inject_corruption_arms_the_oracle_and_the_fault_plan() {
         let a = args(&["prog", "--inject-corruption", "--fault-seed", "7"]);
         let policy = parse_campaign(&a).expect("parses");
-        assert!(
-            policy.wants_engine(),
-            "corruption routes through the engine"
-        );
         assert_eq!(
             policy.faults.as_ref().expect("faults").corrupt_per_mille,
             1000
@@ -618,7 +601,6 @@ mod tests {
             "40",
         ]))
         .expect("parses");
-        assert!(policy.wants_engine(), "a budget routes through the engine");
         assert_eq!(policy.budget.deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(policy.budget.cell_deadline, Some(Duration::from_millis(40)));
     }
@@ -652,30 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_death_parses_and_conflicts_with_kill_after() {
-        let policy =
-            parse_campaign(&args(&["prog", "--inject-worker-death", "1:2"])).expect("parses");
-        assert!(policy.wants_engine(), "death routes through the engine");
-        assert_eq!(policy.faults.expect("faults").worker_death, Some((1, 2)));
-        for bad in ["3", "1:", ":2", "a:b", "1:2:3"] {
-            let err = parse_campaign(&args(&["prog", "--inject-worker-death", bad]))
-                .expect_err("rejected");
-            assert!(err.contains("needs W:K"), "{bad}: {err}");
-        }
-        let err = parse_campaign(&args(&[
-            "prog",
-            "--checkpoint",
-            "ck",
-            "--kill-after",
-            "3",
-            "--inject-worker-death",
-            "0:1",
-        ]))
-        .expect_err("rejected");
-        assert!(err.contains("conflicts with --kill-after"), "{err}");
-    }
-
-    #[test]
     fn inject_io_parses_kinds_and_rates() {
         assert_eq!(parse_inject_io(&args(&["prog"])), Ok(None));
         let torn = parse_inject_io(&args(&["prog", "--inject-io", "torn"]))
@@ -694,7 +652,7 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
-        // It folds into the fault plan and routes through the engine.
+        // It folds into the fault plan.
         let policy = parse_campaign(&args(&[
             "prog",
             "--inject-io",
@@ -703,7 +661,6 @@ mod tests {
             "11",
         ]))
         .expect("parses");
-        assert!(policy.wants_engine());
         let faults = policy.faults.expect("faults");
         assert_eq!(
             faults.io,

@@ -15,10 +15,6 @@
 //! | [`EXIT_SETUP`] | the harness could not set a campaign up |
 //! | [`EXIT_SUSPECT`] | the shadow oracle caught a model violation |
 //! | [`EXIT_BUDGET`] | deadline or signal stopped the campaign early |
-//! | [`EXIT_QUEUE_FULL`] | `campaignd` rejected the submission (backpressure) |
-//! | [`EXIT_DEGRADED`] | the job was shed under overload before completing |
-//! | [`EXIT_WAIT_TIMEOUT`] | `submit --wait` gave up: wait timeout or retry budget |
-//! | [`EXIT_CANCELLED`] | the job was cancelled by a client `cancel` request |
 //!
 //! When several apply the most alarming wins: SUSPECT dominates
 //! everything (the model itself misbehaved), then QUARANTINED /
@@ -41,27 +37,6 @@ pub const EXIT_INTERRUPTED: i32 = 3;
 
 /// The harness failed to set a campaign up (I/O, missing inputs).
 pub const EXIT_SETUP: i32 = 5;
-
-/// The campaign service's bounded queue was full and the submission was
-/// rejected outright — backpressure, not failure: resubmit later.
-pub const EXIT_QUEUE_FULL: i32 = 8;
-
-/// The campaign service shed the job under overload before it completed
-/// (graceful degradation): lower-priority work is dropped with a typed
-/// status instead of waiting forever behind a saturated queue.
-pub const EXIT_DEGRADED: i32 = 9;
-
-/// `submit --wait` stopped waiting: the `--wait-timeout` deadline passed
-/// or the reconnect retry budget ran out against an unreachable server.
-/// The job itself may still be queued or running — this is a *client*
-/// giving up, distinct from the job-outcome codes above.
-pub const EXIT_WAIT_TIMEOUT: i32 = 10;
-
-/// The job was cancelled by a client `cancel` request (`submit --cancel`)
-/// before it completed: dequeued while still waiting, or preempted at the
-/// engine's graceful-stop boundary while running. Terminal — a cancelled
-/// job never runs again, and a restarted server keeps it cancelled.
-pub const EXIT_CANCELLED: i32 = 11;
 
 /// Prints a usage error to stderr and exits [`EXIT_USAGE`].
 pub fn usage(message: impl std::fmt::Display) -> ! {

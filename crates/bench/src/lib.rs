@@ -12,17 +12,17 @@
 //! | `fig7`   | Figure 7(a)–(f) — IPC and MPKI across 19 TLB configurations |
 //! | `attack_success` | Section 2.2/5.1 — TLBleed-style attack accuracy per design |
 //!
-//! Every campaign driver accepts `--workers N` (or `--workers auto`) to
-//! shard its trial space across the deterministic parallel engine in
-//! `sectlb_secbench::parallel`; outputs are bitwise identical for every
-//! worker count. See the [`cli`] module for the shared flag parsing.
+//! Every campaign driver runs on the one campaign engine in
+//! `sectlb_secbench::resilience`, on one worker by default. `--workers N`
+//! (or `--workers auto`) shards its trial space across more threads;
+//! outputs are bitwise identical for every worker count. See the [`cli`]
+//! module for the shared flag parsing.
 //!
 //! Campaign drivers also accept the fault-tolerance flags
 //! (`--checkpoint`, `--resume`, `--retries`, `--kill-after`,
-//! `--stall-deadline-ms`, and the `--inject-*` fault-injection harness),
-//! which route the run through `sectlb_secbench::resilience` — see the
-//! [`campaign`] module for the shared driver glue, and the [`exit`]
-//! module for the exit-code contract every driver honors.
+//! `--stall-deadline-ms`, and the `--inject-*` fault-injection harness)
+//! — see the [`campaign`] module for the shared driver glue, and the
+//! [`exit`] module for the exit-code contract every driver honors.
 //!
 //! The resource-budget flags (`--deadline SECS`, `--cell-deadline-ms MS`)
 //! bound a campaign's wall-clock time: on expiry — or on SIGINT/SIGTERM —

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use sectlb_secbench::iofault::{self, FaultyWriter, IoInjector};
 use sectlb_secbench::oracle::OracleSummary;
-use sectlb_secbench::parallel::PoolStats;
+use sectlb_secbench::resilience::PoolStats;
 use sectlb_secbench::telemetry::{duration_ns, render_metrics, Event, PhaseTimings, Telemetry};
 
 use crate::cli::{events_flag, flag_num, inject_io_flag, metrics_flag};
@@ -49,7 +49,7 @@ impl Observability {
         let events = events_flag(args);
         let metrics = metrics_flag(args);
         // `--inject-io` threads the same injection seam under the event
-        // stream that checkpoints and the manifest get: an injected sink
+        // stream that checkpoints get: an injected sink
         // failure must degrade telemetry (the sink disarms itself), never
         // the campaign.
         let injector = match inject_io_flag(args) {
@@ -124,7 +124,8 @@ impl Observability {
     /// Flushes the event stream and, when `--metrics PATH` was given,
     /// writes the aggregated snapshot (conventionally
     /// `BENCH_<driver>.json`). Call exactly once, right before the
-    /// driver exits; `stats` is `None` for serial (non-engine) runs.
+    /// driver exits; `stats` is `None` for drivers that run no campaign
+    /// (e.g. `replay`).
     pub fn finish(&mut self, stats: Option<&PoolStats>) {
         if !self.enabled() {
             return;

@@ -47,6 +47,26 @@ fn zero_workers_fails_fast_with_a_specific_message() {
 }
 
 #[test]
+fn zero_trials_fails_fast_with_a_specific_message() {
+    for bin in [
+        env!("CARGO_BIN_EXE_table4"),
+        env!("CARGO_BIN_EXE_mitigations"),
+        env!("CARGO_BIN_EXE_ablation_rf"),
+        env!("CARGO_BIN_EXE_ablation_sp_ways"),
+        env!("CARGO_BIN_EXE_table7_eval"),
+    ] {
+        let out = run(bin, &["--trials", "0"]);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("--trials must be at least 1"), "{bin}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{bin}: no campaign output before the error"
+        );
+    }
+}
+
+#[test]
 fn checkpoint_every_without_checkpoint_is_rejected() {
     let out = run(env!("CARGO_BIN_EXE_table5"), &["--checkpoint-every", "4"]);
     assert_eq!(out.status.code(), Some(2));

@@ -1,22 +1,21 @@
-//! End-to-end pins of the crash-consistency contract.
+//! End-to-end pin of the crash-consistency contract.
 //!
 //! The acceptance scenario of the storage hardening: even with *every*
 //! checkpoint write torn (`--inject-io torn:1000`), an interrupted
 //! campaign resumes — via generation fallback or a declared fresh start
-//! — and produces byte-identical output to an uninterrupted run; and
-//! `verify` classifies the surviving state dir as clean, because torn
-//! generations are exactly what the recovery chain absorbs by design.
+//! — and produces byte-identical output to an uninterrupted run. The
+//! checkpoint files on both sides are audited through the same recovery
+//! chain a resume uses ([`Checkpoint::load_recovering`]), so a torn
+//! generation is always detected and never parsed into garbage.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use sectlb_secbench::checkpoint::Checkpoint;
+use sectlb_secbench::checkpoint::{Checkpoint, RecoveredLoad};
 use sectlb_secbench::iofault::{self, IoInjector};
 use sectlb_secbench::run::Measurement;
-use sectlb_secbench::service::{encode_manifest, JobState, ManifestEntry};
 
 const TABLE4: &str = env!("CARGO_BIN_EXE_table4");
-const VERIFY: &str = env!("CARGO_BIN_EXE_verify");
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sectlb-crash-{}-{name}", std::process::id()));
@@ -25,13 +24,39 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn verify(state: &PathBuf, extra: &[&str]) -> Output {
-    Command::new(VERIFY)
-        .arg("--state")
-        .arg(state)
-        .args(extra)
-        .output()
-        .expect("verify runs")
+/// Every recorded result of `ck` decodes as a [`Measurement`] — the
+/// "never garbage" half of the recovery contract.
+fn assert_decodes(ck: &Checkpoint, what: &str) {
+    let decoded = ck
+        .decoded::<Measurement>()
+        .unwrap_or_else(|e| panic!("{what}: recorded results must decode: {e}"));
+    assert_eq!(decoded.len(), ck.done.len(), "{what}");
+    assert!(ck.done.len() <= ck.tasks, "{what}: more results than tasks");
+}
+
+/// A `.prev` generation, when one exists, is a strict history of the
+/// current one: never ahead of it, and every result it recorded is
+/// recorded identically in the current generation.
+fn assert_prev_not_ahead(path: &Path, current: &Checkpoint) {
+    let prev_path = iofault::prev_path(path);
+    if !prev_path.exists() {
+        return;
+    }
+    let prev = Checkpoint::load(&prev_path).expect("a rotated generation is always valid");
+    assert_decodes(&prev, "previous generation");
+    assert_eq!(prev.settings_hash, current.settings_hash);
+    assert!(
+        prev.done.len() <= current.done.len(),
+        "previous generation ({} results) is ahead of the current one ({})",
+        prev.done.len(),
+        current.done.len()
+    );
+    for entry in &prev.done {
+        assert!(
+            current.done.contains(entry),
+            "previous generation records {entry:?}, which the current one lost"
+        );
+    }
 }
 
 #[test]
@@ -46,6 +71,7 @@ fn torn_checkpoints_still_resume_byte_identically_and_verify_clean() {
         "--checkpoint-every",
         "1",
     ];
+    let clean = IoInjector::disabled();
 
     // Reference: checkpointed but never interrupted, no injection.
     let ref_ck = ref_state.join("ck.txt");
@@ -60,6 +86,14 @@ fn torn_checkpoints_still_resume_byte_identically_and_verify_clean() {
         "reference run: {}",
         String::from_utf8_lossy(&reference.stderr)
     );
+    // The undisturbed reference loads as the current generation with
+    // every task done, and its `.prev` generation trails it.
+    let RecoveredLoad::Current(current) = Checkpoint::load_recovering(&ref_ck, &clean) else {
+        panic!("an undisturbed checkpoint loads as the current generation");
+    };
+    assert_decodes(&current, "reference checkpoint");
+    assert_eq!(current.done.len(), current.tasks, "every task recorded");
+    assert_prev_not_ahead(&ref_ck, &current);
 
     // Interrupted: every checkpoint write torn, killed mid-campaign.
     let ck = state.join("ck.txt");
@@ -84,6 +118,16 @@ fn torn_checkpoints_still_resume_byte_identically_and_verify_clean() {
         "kill switch exits EXIT_INTERRUPTED: {}",
         String::from_utf8_lossy(&interrupted.stderr)
     );
+    // The torn state is detected: it recovers as the previous generation
+    // or a declared fresh start, never as a parsed torn file.
+    match Checkpoint::load_recovering(&ck, &clean) {
+        RecoveredLoad::Previous { checkpoint, .. } => {
+            assert_decodes(&checkpoint, "recovered previous generation")
+        }
+        RecoveredLoad::Fresh { .. } => {}
+        RecoveredLoad::Current(_) => panic!("a torn checkpoint must not load as current"),
+        RecoveredLoad::Missing => panic!("the interrupted run wrote a checkpoint"),
+    }
 
     // Resume under the same injection: every generation of the
     // checkpoint is torn, so recovery declares a fresh start — which the
@@ -108,122 +152,6 @@ fn torn_checkpoints_still_resume_byte_identically_and_verify_clean() {
         "resumed output must be byte-identical to the uninterrupted reference"
     );
 
-    // The torn state dir audits clean: everything wrong with it is
-    // recoverable by construction.
-    let out = verify(&state, &[]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "torn-but-recoverable state verifies clean: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("verify: clean"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    // The undisturbed reference dir is clean with zero findings.
-    let out = verify(&ref_state, &["--strict"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "undisturbed state is strictly clean: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
     let _ = std::fs::remove_dir_all(&ref_state);
-    let _ = std::fs::remove_dir_all(&state);
-}
-
-#[test]
-fn verify_reports_generation_fallback_as_recoverable_and_strict_upgrades_it() {
-    let state = tmp_dir("fallback");
-    let ck_path = state.join("ck.txt");
-    let injector = IoInjector::disabled();
-
-    let mut older = Checkpoint::new(0xc0ffee, 2);
-    older.record(
-        0,
-        &Measurement {
-            trials: 5,
-            n_mapped_miss: 1,
-            n_not_mapped_miss: 2,
-        },
-    );
-    let mut newer = older.clone();
-    newer.record(
-        1,
-        &Measurement {
-            trials: 5,
-            n_mapped_miss: 0,
-            n_not_mapped_miss: 3,
-        },
-    );
-    older.save_with(&ck_path, &injector).expect("generation A");
-    newer.save_with(&ck_path, &injector).expect("generation B");
-    // Tear the current generation; `.prev` still holds generation A.
-    let stored = std::fs::read_to_string(&ck_path).expect("read");
-    std::fs::write(&ck_path, &stored[..stored.len() / 2]).expect("tear");
-
-    let out = verify(&state, &[]);
-    assert_eq!(out.status.code(), Some(0), "fallback is recoverable");
-    let report = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(report.contains("recoverable"), "{report}");
-
-    let strict = verify(&state, &["--strict"]);
-    assert_eq!(
-        strict.status.code(),
-        Some(1),
-        "--strict upgrades recoverable findings to failures"
-    );
-    let _ = std::fs::remove_dir_all(&state);
-}
-
-#[test]
-fn verify_fails_on_manifest_job_dir_disagreement() {
-    let state = tmp_dir("disagree");
-    std::fs::create_dir_all(state.join("jobs").join("1")).expect("job dir");
-    std::fs::create_dir_all(state.join("jobs").join("7")).expect("orphan dir");
-    // The manifest claims job 1 is done (but it has no output.txt) and
-    // knows nothing about directory 7.
-    let entries = [ManifestEntry {
-        id: 1,
-        state: JobState::Done,
-        seq: 3,
-        exit: Some(0),
-        spec: Default::default(),
-    }];
-    let sealed = iofault::seal(&encode_manifest(2, &entries));
-    std::fs::write(state.join("manifest.txt"), sealed).expect("manifest");
-
-    let out = verify(&state, &[]);
-    assert_eq!(out.status.code(), Some(1), "inconsistencies exit 1");
-    let report = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(
-        report.contains("no output.txt"),
-        "missing output reported: {report}"
-    );
-    assert!(
-        report.contains("orphan job directory"),
-        "orphan dir reported: {report}"
-    );
-    assert!(report.contains("verify: FAILED"), "{report}");
-    let _ = std::fs::remove_dir_all(&state);
-}
-
-#[test]
-fn verify_fails_when_every_manifest_generation_is_lost() {
-    let state = tmp_dir("lost");
-    std::fs::create_dir_all(state.join("jobs")).expect("jobs dir");
-    std::fs::write(state.join("manifest.txt"), "garbage").expect("manifest");
-    std::fs::write(state.join("manifest.txt.prev"), "more garbage").expect("prev");
-
-    let out = verify(&state, &[]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("job table is lost"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
     let _ = std::fs::remove_dir_all(&state);
 }

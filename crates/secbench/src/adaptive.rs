@@ -38,14 +38,12 @@ use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 
 use crate::capacity::binary_channel_capacity;
 use crate::checkpoint::{Checkpoint, Record};
-use crate::parallel::{distribute_trial_counts, PoolStats, Shard, TRIALS_PER_SHARD};
 use crate::report::DEFENDED_THRESHOLD;
 use crate::resilience::{
-    cells_fingerprint, run_sharded_resilient_observed, CampaignError, CellGap, CellOutcome,
-    RunPolicy, ShardOutcome, StallEvent,
+    cells_fingerprint, distribute_trial_counts, run_sharded_resilient, CampaignError, CellGap,
+    CellOutcome, PoolStats, RunPolicy, Shard, ShardOutcome, StallEvent, TRIALS_PER_SHARD,
 };
-use crate::run::{run_trial_range, Measurement, TrialSettings};
-use crate::spec::BenchmarkSpec;
+use crate::run::{run_trial_range, Measurement, TrialCell, TrialSettings};
 use crate::supervisor::{BudgetPolicy, StopReason, Supervisor};
 use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
 
@@ -224,36 +222,18 @@ fn adaptive_fingerprint(
 /// [`crate::resilience::measure_cells_resilient`] with sequential early
 /// stopping: identical trial prefixes, identical verdicts, fewer trials.
 ///
-/// Rounds of one shard per undecided cell run through the fault-tolerant
-/// engine; after each round the sequential test retires every settled
-/// cell. `policy.checkpoint`/`policy.resume` operate on the cell-granular
+/// Rounds of one shard per undecided cell run through the engine; after
+/// each round the sequential test retires every settled cell.
+/// `policy.checkpoint`/`policy.resume` operate on the cell-granular
 /// adaptive format; `policy.stop_after` is not meaningful here (rounds
 /// renumber shards) and is ignored — reject it at the CLI.
+///
+/// `telemetry` receives the campaign start/stop envelope, a resume
+/// restore, per-round shard-lifecycle events from the engine, an
+/// [`Event::AdaptiveStop`] per settled cell, and checkpoint flushes. The
+/// round runs themselves emit no nested campaign envelopes — they are
+/// internal engine invocations.
 pub fn measure_cells_adaptive(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<AdaptiveOutcome, CampaignError> {
-    measure_cells_adaptive_observed(
-        cells,
-        settings,
-        workers,
-        policy,
-        adaptive,
-        &Telemetry::disabled(),
-        customize,
-    )
-}
-
-/// [`measure_cells_adaptive`] with a [`Telemetry`] handle: the campaign
-/// start/stop envelope, a resume restore, per-round shard-lifecycle
-/// events from the engine, an [`Event::AdaptiveStop`] per settled cell,
-/// and checkpoint flushes. The round runs themselves emit no nested
-/// campaign envelopes — they are internal engine invocations.
-pub fn measure_cells_adaptive_observed(
     cells: &[(Vulnerability, TlbDesign)],
     settings: &TrialSettings,
     workers: NonZeroUsize,
@@ -273,9 +253,9 @@ pub fn measure_cells_adaptive_observed(
             workers: workers.get() as u64,
         });
     }
-    let specs: Vec<BenchmarkSpec> = cells
+    let prepared: Vec<TrialCell> = cells
         .iter()
-        .map(|(v, d)| BenchmarkSpec::build_with_config(v, *d, settings.config))
+        .map(|(v, d)| TrialCell::new(v, *d, settings.config))
         .collect();
 
     let mut states: Vec<AdaptiveCellState> = vec![
@@ -314,17 +294,7 @@ pub fn measure_cells_adaptive_observed(
     // whole-campaign deadline, exactly as on the exhaustive engine.
     let outer = Supervisor::with_consumed(policy.budget, prior);
     let mut stop: Option<StopReason> = None;
-    let mut stats = PoolStats {
-        wall: std::time::Duration::ZERO,
-        workers: Vec::new(),
-        quarantined: 0,
-        stalled: 0,
-        skipped: 0,
-        preempted: 0,
-        trials_saved: 0,
-        deaths: 0,
-        reclaimed: 0,
-    };
+    let mut stats = PoolStats::default();
     let mut stalls: Vec<StallEvent> = Vec::new();
     let started = Instant::now();
 
@@ -383,7 +353,7 @@ pub fn measure_cells_adaptive_observed(
                 hi: (states[i].m.trials + TRIALS_PER_SHARD).min(full),
             })
             .collect();
-        let run = run_sharded_resilient_observed(
+        let run = run_sharded_resilient(
             &tasks,
             workers,
             &round_policy,
@@ -398,8 +368,7 @@ pub fn measure_cells_adaptive_observed(
             telemetry,
             |shard| {
                 run_trial_range(
-                    &specs[shard.cell],
-                    cells[shard.cell].1,
+                    &prepared[shard.cell],
                     settings,
                     shard.lo..shard.hi,
                     customize,
@@ -533,14 +502,12 @@ fn merge_round_stats(total: &mut PoolStats, round: &PoolStats) {
     total.stalled += round.stalled;
     total.skipped += round.skipped;
     total.preempted += round.preempted;
-    total.deaths += round.deaths;
-    total.reclaimed += round.reclaimed;
 }
 
 /// Serial adaptive measurement of one cell — the early-stopping analogue
 /// of [`crate::run::run_vulnerability`], used by the lighter drivers
-/// (mitigation matrices, RF ablations) that don't run the sharded
-/// engine. The shard-prefix schedule matches the campaign engine's, so
+/// (mitigation matrices, RF ablations) whose engine tasks are whole
+/// rows or cells. The shard-prefix schedule matches the campaign engine's, so
 /// the stopping point (and measurement) is identical to
 /// [`measure_cells_adaptive`] on the same cell.
 pub fn run_vulnerability_adaptive(
@@ -561,20 +528,14 @@ pub fn run_vulnerability_adaptive_with_builder(
     test: &SequentialTest,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Measurement {
-    let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
+    let cell = TrialCell::new(vulnerability, design, settings.config);
     let mut m = Measurement::ZERO;
     while m.trials < settings.trials {
         if m.trials > 0 && test.decide(&m).is_some() {
             break;
         }
         let hi = (m.trials + TRIALS_PER_SHARD).min(settings.trials);
-        m = m.merge(run_trial_range(
-            &spec,
-            design,
-            settings,
-            m.trials..hi,
-            customize,
-        ));
+        m = m.merge(run_trial_range(&cell, settings, m.trials..hi, customize));
     }
     m
 }

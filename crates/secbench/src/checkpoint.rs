@@ -515,10 +515,10 @@ pub fn fingerprint_str(s: &str) -> u64 {
 }
 
 /// Fingerprints the [`TrialSettings`] fields that determine a campaign's
-/// *results*. The worker count is deliberately excluded: any sharding of
-/// the trial space produces bitwise-identical measurements, so a
-/// checkpoint taken with `--workers 8` must resume cleanly under
-/// `--workers 2` (or serially).
+/// *results*. The worker count is not among them: any sharding of the
+/// trial space produces bitwise-identical measurements, so a checkpoint
+/// taken with `--workers 8` must resume cleanly under `--workers 2` (or
+/// one worker).
 pub fn settings_fingerprint(settings: &TrialSettings) -> u64 {
     use sectlb_tlb::RandomFillEviction;
     fingerprint(
@@ -540,7 +540,6 @@ pub fn settings_fingerprint(settings: &TrialSettings) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::num::NonZeroUsize;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -746,16 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn settings_fingerprint_ignores_workers_but_not_results_knobs() {
+    fn settings_fingerprint_tracks_results_knobs() {
         let base = TrialSettings::default();
-        let with_workers = TrialSettings {
-            workers: NonZeroUsize::new(8),
-            ..base
-        };
-        assert_eq!(
-            settings_fingerprint(&base),
-            settings_fingerprint(&with_workers)
-        );
+        assert_eq!(settings_fingerprint(&base), settings_fingerprint(&base));
         let other_trials = TrialSettings {
             trials: base.trials + 1,
             ..base

@@ -1,8 +1,7 @@
 //! Deterministic I/O fault injection and the durable-write seam.
 //!
 //! Every durability claim the campaign stack makes — checkpoints survive
-//! `kill -9`, the `campaignd` manifest survives a drain, repro files are
-//! never half-written — rests on a small set of filesystem idioms. This
+//! `kill -9`, repro files are never half-written — rests on a small set of filesystem idioms. This
 //! module owns those idioms in one place and makes them *testable under
 //! adversity*:
 //!
@@ -17,7 +16,7 @@
 //!   `<path>.prev` before overwriting, so a corrupt current file can be
 //!   recovered from instead of aborting a week-long campaign.
 //! - [`IoInjector`] — a deterministic fault injector threaded under the
-//!   checkpoint, manifest, repro, and telemetry writes. Driven by the
+//!   checkpoint, repro, and telemetry writes. Driven by the
 //!   seeded fault plan (`--inject-io torn|short-read|enospc|rename-fail[:PM]`),
 //!   it tears writes (prefix-only flush), truncates reads, fails writes
 //!   with ENOSPC, or fails renames — keyed by a per-injector operation
@@ -314,7 +313,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8], injector: &IoInjector) -> io::Res
     }
     if injector.fires(IoFaultKind::RenameFail) {
         // The stranded temp file is deliberate: that is exactly what a
-        // real failed rename leaves for `verify` to report.
+        // real failed rename leaves behind.
         return Err(injector.injected_error("rename failure"));
     }
     fs::rename(&tmp, path)?;

@@ -11,16 +11,15 @@
 //! - [`run`] — the trial harness: 500 "mapped" + 500 "not mapped" runs per
 //!   vulnerability per TLB design, miss-counter observations, and the
 //!   empirical `p1*`, `p2*`, `C*`;
-//! - [`parallel`] — the sharded campaign engine: the
+//! - [`resilience`] — the campaign engine every driver runs on: the
 //!   `(vulnerability, design, placement, trial-chunk)` space spread over
-//!   scoped worker threads with bitwise-deterministic seeding, so any
-//!   worker count (including the serial path) yields identical tables;
-//! - [`scheduler`] — the work-stealing shard scheduler beneath both
-//!   engines: per-worker deques (LIFO owner pop, FIFO steal) whose
-//!   claim order never changes *what* runs, only *who* runs it;
-//! - [`resilience`] — the fault-tolerant campaign engine: panic isolation
-//!   with deterministic retry, shard quarantine, a stall watchdog, and a
+//!   scoped worker threads (one worker is a serial run) with
+//!   bitwise-deterministic seeding, panic isolation with deterministic
+//!   retry, shard quarantine, checkpoint/resume, a stall watchdog, and a
 //!   deterministic fault-injection harness for testing all of the above;
+//! - [`scheduler`] — the work-stealing shard scheduler beneath the
+//!   engine: per-worker deques (LIFO owner pop, FIFO steal) whose claim
+//!   order never changes *what* runs, only *who* runs it;
 //! - [`supervisor`] — the resource-budgeted campaign supervisor:
 //!   wall-clock deadlines, per-shard timeouts with cooperative
 //!   preemption, and signal-safe graceful shutdown, all draining through
@@ -43,10 +42,6 @@
 //!   JSONL event stream (shard lifecycle, supervisor decisions,
 //!   checkpoint flushes, oracle violations) plus an aggregated metrics
 //!   snapshot, both off by default and byte-invisible when disabled;
-//! - [`service`] — the campaign service layer behind `campaignd`: job
-//!   specs, a bounded priority queue with backpressure and load
-//!   shedding, the unix-socket line protocol, and the crash-safe job
-//!   manifest that lets a drained server resume bitwise-identically;
 //! - [`theory`] — the theoretical `p1`, `p2`, `C` of Table 4, including
 //!   the six combined Random-Fill TLB patterns of Section 5.3.1;
 //! - [`extended`] — the Appendix B evaluation: targeted-invalidation
@@ -75,44 +70,33 @@
 pub mod adaptive;
 pub mod capacity;
 pub mod channel;
-pub mod chaos;
 pub mod checkpoint;
 pub mod extended;
 pub mod generate;
 pub mod iofault;
 pub mod mitigations;
 pub mod oracle;
-pub mod parallel;
 pub mod report;
 pub mod resilience;
 pub mod run;
 pub mod scheduler;
-pub mod service;
 pub mod spec;
 pub mod supervisor;
 pub mod telemetry;
 pub mod theory;
 
-pub use adaptive::{
-    measure_cells_adaptive, measure_cells_adaptive_observed, AdaptiveOutcome, AdaptivePolicy,
-    SequentialTest,
-};
+pub use adaptive::{measure_cells_adaptive, AdaptiveOutcome, AdaptivePolicy, SequentialTest};
 pub use capacity::binary_channel_capacity;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 pub use iofault::{IoFault, IoFaultKind, IoInjector};
 pub use oracle::{OracleConfig, OracleSummary, SuspectCell, EXIT_SUSPECT};
-pub use parallel::{measure_cells, run_sharded, PoolStats, WorkerStats};
 pub use resilience::{
-    measure_cells_resilient, measure_cells_resilient_observed, run_sharded_resilient,
-    run_sharded_resilient_observed, CampaignError, CampaignOutcome, CellOutcome, FaultPlan,
-    ResilientRun, RunPolicy, ShardFailure, ShardOutcome, EXIT_QUARANTINED,
+    measure_cells_resilient, run_sharded_resilient, CampaignError, CampaignOutcome, CellOutcome,
+    FaultPlan, PoolStats, ResilientRun, RunPolicy, ShardFailure, ShardOutcome, WorkerStats,
+    EXIT_QUARANTINED,
 };
-pub use run::{derive_trial_seed, run_vulnerability, Measurement, TrialSettings};
+pub use run::{derive_trial_seed, run_vulnerability, Measurement, TrialCell, TrialSettings};
 pub use scheduler::{Claim, StealQueues};
-pub use service::{
-    JobQueue, JobSpec, JobState, QueuedJob, Request, Response, ServiceError, SubmitError,
-    HEARTBEAT_INTERVAL,
-};
 pub use spec::BenchmarkSpec;
 pub use supervisor::{BudgetPolicy, StopReason, Supervisor, EXIT_BUDGET};
 pub use telemetry::{Envelope, Event, PhaseTimings, Telemetry, SCHEMA_VERSION};

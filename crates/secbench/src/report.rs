@@ -10,13 +10,14 @@ use std::num::NonZeroUsize;
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_sim::machine::TlbDesign;
 
-use crate::adaptive::AdaptivePolicy;
-use crate::parallel::{measure_cells, PoolStats};
+use crate::adaptive::{measure_cells_adaptive, AdaptivePolicy};
 use crate::resilience::{
-    CampaignError, CellGap, CellOutcome, RunPolicy, ShardFailure, StallEvent, EXIT_QUARANTINED,
+    measure_cells_resilient, CampaignError, CellGap, CellOutcome, PoolStats, RunPolicy,
+    ShardFailure, StallEvent, EXIT_QUARANTINED,
 };
-use crate::run::{run_vulnerability, Measurement, TrialSettings};
+use crate::run::{Measurement, TrialSettings};
 use crate::supervisor::{StopReason, EXIT_BUDGET};
+use crate::telemetry::Telemetry;
 use crate::theory::{paper_theory, TheoryParams, TheoryRow};
 
 /// One design's columns for one vulnerability row.
@@ -73,79 +74,6 @@ pub fn paper_defended_count(design: TlbDesign) -> usize {
 /// Capacity threshold for calling a measured channel "about 0"
 /// (Table 4 bolds capacities of 0.03 and below as secure).
 pub const DEFENDED_THRESHOLD: f64 = 0.05;
-
-/// Runs the full security evaluation (24 rows × 3 designs ×
-/// 2×`settings.trials` trials) and assembles Table 4.
-///
-/// Honors `settings.workers` — see [`build_table4_with_stats`] for the
-/// variant that also reports the campaign's throughput counters.
-pub fn build_table4(settings: &TrialSettings) -> Table4 {
-    build_table4_with_stats(settings).0
-}
-
-/// [`build_table4`] plus the parallel engine's per-shard timing and
-/// throughput counters ([`PoolStats`]).
-///
-/// With `settings.workers = None` the legacy serial path runs — one
-/// nested loop, no threads — and the stats are `None`. With
-/// `Some(n)` the whole 24×3-cell campaign is sharded across `n` workers;
-/// the assembled table is bitwise identical in all cases because every
-/// trial's seed depends only on its coordinates.
-pub fn build_table4_with_stats(settings: &TrialSettings) -> (Table4, Option<PoolStats>) {
-    build_table4_with_stats_for(&TlbDesign::ALL, settings)
-}
-
-/// [`build_table4_with_stats`] over an explicit design-column list —
-/// the `--designs` path. With [`TlbDesign::ALL`] the table (and its
-/// rendering) is byte-identical to the classic three-column one.
-pub fn build_table4_with_stats_for(
-    designs: &[TlbDesign],
-    settings: &TrialSettings,
-) -> (Table4, Option<PoolStats>) {
-    let params = TheoryParams::default();
-    let vulns = enumerate_vulnerabilities();
-    let (measurements, stats): (Vec<Measurement>, Option<PoolStats>) = match settings.workers {
-        Some(workers) => {
-            let cells = table4_cells_for(designs);
-            let (measurements, stats) = measure_cells(&cells, settings, workers, &|b| b);
-            (measurements, Some(stats))
-        }
-        None => {
-            let serial = TrialSettings {
-                workers: None,
-                ..*settings
-            };
-            let measurements = vulns
-                .iter()
-                .flat_map(|v| designs.iter().map(|&d| run_vulnerability(v, d, &serial)))
-                .collect();
-            (measurements, None)
-        }
-    };
-    let rows = vulns
-        .into_iter()
-        .zip(measurements.chunks_exact(designs.len()))
-        .map(|(v, cells)| Row {
-            vulnerability: v,
-            cells: cells
-                .iter()
-                .zip(designs)
-                .map(|(&measured, &d)| Cell {
-                    measured,
-                    theory: paper_theory(&v, d, &params),
-                })
-                .collect(),
-        })
-        .collect();
-    (
-        Table4 {
-            rows,
-            trials: settings.trials,
-            designs: designs.to_vec(),
-        },
-        stats,
-    )
-}
 
 impl Table4 {
     /// Number of rows each design defends, per the measured capacity.
@@ -519,10 +447,10 @@ impl CampaignReport {
     }
 
     /// Prints the run's non-deterministic bookkeeping — the resume count,
-    /// the stall watchdog's reports, and the pool's timing/throughput
-    /// line — to stderr, keeping stdout bitwise-comparable across
-    /// kill/resume interleavings.
-    pub fn eprint_summary(&self) {
+    /// the stall watchdog's reports, and (with `pool`) the pool's
+    /// timing/throughput line — to stderr, keeping stdout
+    /// bitwise-comparable across kill/resume interleavings.
+    pub fn eprint_summary(&self, pool: bool) {
         if self.resumed > 0 {
             eprintln!(
                 "resumed: {} shard(s) restored from checkpoint",
@@ -535,7 +463,9 @@ impl CampaignReport {
                 s.worker, s.task, s.waited
             );
         }
-        eprintln!("pool: {}", self.stats.render());
+        if pool {
+            eprintln!("pool: {}", self.stats.render());
+        }
     }
 }
 
@@ -553,123 +483,50 @@ pub fn table4_cells_for(designs: &[TlbDesign]) -> Vec<(Vulnerability, TlbDesign)
         .collect()
 }
 
-/// [`build_table4_with_stats`] on the fault-tolerant engine: worker
-/// panics are isolated and deterministically retried, completed shards
-/// are checkpointed per `policy`, and cells whose shards keep failing are
-/// quarantined in the report instead of killing the campaign.
+/// Runs the Table 4 security evaluation — 24 rows × `designs` columns ×
+/// 2×`settings.trials` trials — on the campaign engine and assembles
+/// the report. The one Table 4 builder.
 ///
-/// A clean run's table is bitwise identical to [`build_table4`]'s.
-pub fn build_table4_resilient(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_resilient_observed(
-        settings,
-        workers,
-        policy,
-        &crate::telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`build_table4_resilient`] with a [`crate::telemetry::Telemetry`]
-/// handle streaming the campaign's event envelope and shard lifecycle.
-pub fn build_table4_resilient_observed(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    telemetry: &crate::telemetry::Telemetry,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_resilient_observed_for(&TlbDesign::ALL, settings, workers, policy, telemetry)
-}
-
-/// [`build_table4_resilient_observed`] over an explicit design-column
-/// list — the `--designs` path through the fault-tolerant engine.
-pub fn build_table4_resilient_observed_for(
+/// Worker panics are isolated and deterministically retried, completed
+/// shards are checkpointed per `policy`, and cells whose shards keep
+/// failing are quarantined in the report instead of killing the
+/// campaign. With `adaptive`, each cell stops as soon as the sequential
+/// test settles its verdict (every verdict matches the exhaustive run's)
+/// and the report carries the [`AdaptiveSummary`] accounting.
+///
+/// The table is bitwise identical for every worker count. With
+/// [`TlbDesign::ALL`] its rendering is byte-identical to the classic
+/// three-column table.
+pub fn build_table4(
     designs: &[TlbDesign],
     settings: &TrialSettings,
     workers: NonZeroUsize,
     policy: &RunPolicy,
-    telemetry: &crate::telemetry::Telemetry,
+    adaptive: Option<AdaptivePolicy>,
+    telemetry: &Telemetry,
 ) -> Result<CampaignReport, CampaignError> {
     let cells = table4_cells_for(designs);
-    let outcome = crate::resilience::measure_cells_resilient_observed(
+    let Some(adaptive) = adaptive else {
+        let outcome =
+            measure_cells_resilient(&cells, settings, workers, policy, telemetry, &|b| b)?;
+        return Ok(assemble_campaign_report(
+            designs,
+            &cells,
+            settings,
+            outcome.cells,
+            outcome.stats,
+            outcome.resumed,
+            outcome.stalls,
+            outcome.stop,
+            None,
+        ));
+    };
+    let outcome = measure_cells_adaptive(
         &cells,
         settings,
         workers,
         policy,
-        telemetry,
-        &|b| b,
-    )?;
-    Ok(assemble_campaign_report(
-        designs,
-        &cells,
-        settings,
-        outcome.cells,
-        outcome.stats,
-        outcome.resumed,
-        outcome.stalls,
-        outcome.stop,
-        None,
-    ))
-}
-
-/// [`build_table4_resilient`] with sequential early stopping
-/// (`--adaptive`): every cell's verdict matches the exhaustive run's,
-/// early-stopped cells report their truncated trial counts, and the
-/// report carries the [`AdaptiveSummary`] accounting.
-pub fn build_table4_adaptive(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_adaptive_observed(
-        settings,
-        workers,
-        policy,
-        adaptive,
-        &crate::telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`build_table4_adaptive`] with a [`crate::telemetry::Telemetry`]
-/// handle streaming the campaign envelope, shard lifecycle, and per-cell
-/// adaptive-stop decisions.
-pub fn build_table4_adaptive_observed(
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    telemetry: &crate::telemetry::Telemetry,
-) -> Result<CampaignReport, CampaignError> {
-    build_table4_adaptive_observed_for(
-        &TlbDesign::ALL,
-        settings,
-        workers,
-        policy,
-        adaptive,
-        telemetry,
-    )
-}
-
-/// [`build_table4_adaptive_observed`] over an explicit design-column
-/// list — the `--designs --adaptive` path.
-pub fn build_table4_adaptive_observed_for(
-    designs: &[TlbDesign],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    adaptive: &AdaptivePolicy,
-    telemetry: &crate::telemetry::Telemetry,
-) -> Result<CampaignReport, CampaignError> {
-    let cells = table4_cells_for(designs);
-    let outcome = crate::adaptive::measure_cells_adaptive_observed(
-        &cells,
-        settings,
-        workers,
-        policy,
-        adaptive,
+        &adaptive,
         telemetry,
         &|b| b,
     )?;
@@ -704,7 +561,7 @@ pub fn build_table4_adaptive_observed_for(
 }
 
 /// Folds a cell-outcome list into the [`CampaignReport`] shape shared by
-/// the exhaustive and adaptive engines.
+/// the exhaustive and adaptive campaigns.
 #[allow(clippy::too_many_arguments)]
 fn assemble_campaign_report(
     designs: &[TlbDesign],
@@ -786,6 +643,24 @@ fn assemble_campaign_report(
 mod tests {
     use super::*;
 
+    /// The Table 4 campaign over `designs` on `workers` workers, clean.
+    fn report(designs: &[TlbDesign], trials: u32, workers: usize) -> CampaignReport {
+        let settings = TrialSettings {
+            trials,
+            ..TrialSettings::default()
+        };
+        let workers = NonZeroUsize::new(workers).expect("nonzero");
+        build_table4(
+            designs,
+            &settings,
+            workers,
+            &RunPolicy::default(),
+            None,
+            &Telemetry::disabled(),
+        )
+        .expect("clean campaign")
+    }
+
     /// End-to-end check of the paper's headline security result with a
     /// reduced trial count (the full 500-trial table is regenerated by the
     /// `table4` bench binary).
@@ -794,11 +669,7 @@ mod tests {
         // 50 trials is the smallest count where the marginal RF cells
         // (Evict + Time: a few random-fill misses against zero) stay
         // clear of the 0.05 capacity threshold.
-        let settings = TrialSettings {
-            trials: 50,
-            ..TrialSettings::default()
-        };
-        let table = build_table4(&settings);
+        let table = report(&TlbDesign::ALL, 50, 1).table;
         assert_eq!(table.rows.len(), 24);
         let [sa, sp, rf] = table.defended_counts()[..] else {
             panic!("classic table has three columns");
@@ -815,11 +686,7 @@ mod tests {
     /// footer from theory.
     #[test]
     fn extended_table_reproduces_closed_form_counts() {
-        let settings = TrialSettings {
-            trials: 50,
-            ..TrialSettings::default()
-        };
-        let (table, _) = build_table4_with_stats_for(&TlbDesign::EXTENDED, &settings);
+        let table = report(&TlbDesign::EXTENDED, 50, 2).table;
         assert_eq!(table.defended_counts(), vec![10, 14, 24, 14, 14, 10]);
         assert!(table.all_verdicts_match(), "measured verdicts match theory");
         let text = table.render();
@@ -837,12 +704,7 @@ mod tests {
     /// the historical header and footer for [`TlbDesign::ALL`].
     #[test]
     fn classic_render_keeps_the_historical_header_and_footer() {
-        let settings = TrialSettings {
-            trials: 10,
-            ..TrialSettings::default()
-        };
-        let table = build_table4(&settings);
-        let text = table.render();
+        let text = report(&TlbDesign::ALL, 10, 1).table.render();
         assert!(text.contains(
             "Table 4: SA / SP / RF TLB — simulated (p1*, p2*, C*) vs. theoretical (p1, p2, C)"
         ));
@@ -852,33 +714,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_table_is_bitwise_identical_and_reports_stats() {
-        let serial = TrialSettings {
-            trials: 12,
-            ..TrialSettings::default()
-        };
-        let (reference, no_stats) = build_table4_with_stats(&serial);
-        assert!(no_stats.is_none(), "serial path reports no pool stats");
-        for n in [1usize, 3] {
-            let parallel = TrialSettings {
-                workers: std::num::NonZeroUsize::new(n),
-                ..serial
-            };
-            let (table, stats) = build_table4_with_stats(&parallel);
-            assert_eq!(table, reference, "workers={n} diverged");
-            let stats = stats.expect("parallel path reports stats");
-            assert_eq!(stats.trials(), 12 * 24 * 3);
-        }
+    fn table_is_bitwise_identical_across_workers_and_reports_stats() {
+        let reference = report(&TlbDesign::ALL, 12, 1);
+        assert_eq!(reference.stats.trials(), 12 * 24 * 3);
+        assert_eq!(reference.exit_code(), 0);
+        let parallel = report(&TlbDesign::ALL, 12, 3);
+        assert_eq!(parallel.table, reference.table, "workers=3 diverged");
+        assert_eq!(parallel.render(), reference.table.render());
     }
 
     #[test]
     fn render_contains_all_strategies_and_counts() {
-        let settings = TrialSettings {
-            trials: 10,
-            ..TrialSettings::default()
-        };
-        let table = build_table4(&settings);
-        let text = table.render();
+        let text = report(&TlbDesign::ALL, 10, 2).table.render();
         assert!(text.contains("TLB Prime + Probe"));
         assert!(text.contains("SA TLB"));
         assert!(text.contains("defended"));

@@ -1,33 +1,44 @@
-//! The fault-tolerant campaign engine: panic isolation, deterministic
-//! retry, checkpoint/resume, a stall watchdog, and a deterministic
-//! fault-injection harness.
+//! The campaign engine: one function, [`run_sharded_resilient`], runs
+//! every campaign's task list over scoped worker threads, with panic
+//! isolation, deterministic retry, checkpoint/resume, a stall watchdog,
+//! the resource budget, and a deterministic fault-injection harness.
+//! A serial run is simply one worker.
 //!
-//! The paper's security evaluation is tens of thousands of independent
-//! simulations per campaign. The plain [`crate::parallel`] engine treats
-//! any worker panic as fatal (`join().expect`) and loses every completed
-//! cell when the process dies. This module replaces that failure mode
-//! with graceful degradation:
+//! The paper's security evaluation is embarrassingly parallel: Table 4
+//! alone is 24 vulnerability types × 3 designs × 2 placements × 500
+//! trials = 72,000 independent machine simulations. The engine shards
+//! that `(vulnerability, design, placement, trial-chunk)` space
+//! ([`plan_shards`]) and merges the per-shard [`Measurement`]s with their
+//! commutative [`Measurement::merge`].
+//!
+//! # Determinism contract
+//!
+//! Every trial's RFE seed is derived by [`crate::run::derive_trial_seed`]
+//! from `(base_seed, vulnerability, design, placement, trial_index)` —
+//! the trial's *coordinates*, never its schedule. Shard results land in
+//! per-task slots and cells merge by component-wise sums. Together these
+//! make a campaign's output **bitwise identical for any worker count**,
+//! any steal schedule, and any interleaving of kills and resumes.
+//!
+//! # Failure handling
 //!
 //! - **Panic isolation + deterministic retry** — every shard executes
-//!   under [`std::panic::catch_unwind`]. Because a trial's seed is a pure
-//!   function of its coordinates ([`crate::run::derive_trial_seed`]), a
-//!   failed shard is retried *identically* up to
-//!   [`RunPolicy::max_retries`] times; a shard that keeps failing is
-//!   **quarantined** — reported as a [`ShardFailure`] carrying its
-//!   coordinates and panic payload — instead of killing the campaign.
+//!   under [`std::panic::catch_unwind`]. A failed shard is retried
+//!   *identically* up to [`RunPolicy::max_retries`] times; a shard that
+//!   keeps failing is **quarantined** — reported as a [`ShardFailure`]
+//!   carrying its coordinates and panic payload — instead of killing the
+//!   campaign.
 //! - **Crash-safe checkpoint/resume** — completed shard results are
-//!   periodically serialized via [`crate::checkpoint`] (temp file +
-//!   atomic rename). A resumed run skips recorded shards and, by the
-//!   determinism contract, produces bitwise-identical final output to an
-//!   uninterrupted run.
+//!   periodically serialized via [`crate::checkpoint`] (CRC-framed,
+//!   temp file + atomic rename, previous-generation fallback). A resumed
+//!   run skips recorded shards and produces bitwise-identical output.
 //! - **Watchdog** — an optional per-shard deadline; workers that exceed
 //!   it are reported as [`StallEvent`]s and counted in
 //!   [`PoolStats::stalled`].
 //! - **Fault injection** — a deterministic [`FaultPlan`] (seeded by shard
 //!   index, enabled only through test/CLI flags) makes chosen shards
 //!   panic or stall, so the integration suite can *prove* the properties
-//!   above: kill-and-resume equals uninterrupted, injected panics
-//!   converge after retry, quarantine never silently drops a cell.
+//!   above.
 //! - **Resource budget** — a [`BudgetPolicy`] ([`crate::supervisor`])
 //!   stops the claim loop on deadline expiry or a latched SIGINT/SIGTERM,
 //!   drains in-flight shards (preempting them at trial boundaries when a
@@ -35,12 +46,12 @@
 //!   *partial* [`ResilientRun`] whose unexecuted shards are explicit
 //!   [`ShardOutcome::Skipped`]/[`ShardOutcome::TimedOut`] entries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use sectlb_model::Vulnerability;
@@ -48,14 +59,192 @@ use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 use crate::iofault::{IoFault, IoInjector};
-use crate::parallel::{distribute_trial_counts, plan_shards, PoolStats, WorkerStats};
 use crate::run::{
-    run_trial_range, splitmix64, vulnerability_code, Measurement, SetupError, TrialSettings,
+    run_trial_range, splitmix64, vulnerability_code, Measurement, TrialCell, TrialSettings,
 };
 use crate::scheduler::StealQueues;
-use crate::spec::BenchmarkSpec;
 use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor};
 use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
+
+/// Trials per shard. Small enough that 24×3 cells split into plenty of
+/// shards for any sane worker count, large enough that per-shard
+/// bookkeeping is noise. Results never depend on this value — only
+/// scheduling does.
+pub const TRIALS_PER_SHARD: u32 = 25;
+
+/// What one worker did during a sharded run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkerStats {
+    /// Shards this worker completed.
+    pub shards: usize,
+    /// Trials (per placement) this worker executed.
+    pub trials: u64,
+    /// Time this worker spent executing shards (excludes queue idling).
+    pub busy: Duration,
+    /// Shard attempts this worker retried after a caught panic.
+    pub retried: usize,
+    /// Shards this worker stole from another worker's deque.
+    pub stolen: usize,
+}
+
+/// Timing, throughput, and resilience counters of one sharded run.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct PoolStats {
+    /// Wall-clock time of the whole run.
+    pub wall: Duration,
+    /// Per-worker counters, indexed by worker id.
+    pub workers: Vec<WorkerStats>,
+    /// Shards quarantined after exhausting their retry budget.
+    pub quarantined: usize,
+    /// Shards the watchdog flagged as exceeding their deadline.
+    pub stalled: usize,
+    /// Shards never claimed because the supervisor stopped the campaign
+    /// (deadline expiry or graceful signal). Always 0 without a budget.
+    pub skipped: usize,
+    /// Shards preempted mid-flight by the per-shard `--cell-deadline-ms`
+    /// bound. Always 0 without a budget.
+    pub preempted: usize,
+    /// Trials the adaptive early-stopping rule avoided running (always 0
+    /// on exhaustive campaigns).
+    pub trials_saved: u64,
+}
+
+impl PoolStats {
+    /// Total shards executed.
+    pub fn shards(&self) -> usize {
+        self.workers.iter().map(|w| w.shards).sum()
+    }
+
+    /// Total trials (per placement) executed.
+    pub fn trials(&self) -> u64 {
+        self.workers.iter().map(|w| w.trials).sum()
+    }
+
+    /// Sum of busy time across workers — the serial-equivalent work.
+    pub fn busy(&self) -> Duration {
+        self.workers.iter().map(|w| w.busy).sum()
+    }
+
+    /// Total shard attempts retried after a caught panic.
+    pub fn retried(&self) -> usize {
+        self.workers.iter().map(|w| w.retried).sum()
+    }
+
+    /// Total shards claimed from another worker's deque.
+    pub fn stolen(&self) -> usize {
+        self.workers.iter().map(|w| w.stolen).sum()
+    }
+
+    /// Trial *pairs* completed per second of wall-clock time.
+    ///
+    /// [`WorkerStats::trials`] counts per-placement trial indices, and
+    /// every index runs as one mapped + one not-mapped placement pair, so
+    /// a pair is the natural unit of completed work. An earlier revision
+    /// multiplied by 2 here to count individual placements while
+    /// `trials()` already described the same work — readers comparing the
+    /// footer against `trials x 2 placements` saw a doubled rate. The
+    /// pinned definition is `trials() / wall`, labeled "trial pairs/s".
+    pub fn throughput(&self) -> f64 {
+        self.trials() as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// Worker overlap: aggregate busy time divided by wall-clock time.
+    ///
+    /// Busy time is measured in wall time per shard, so this equals the
+    /// effective speedup over a one-worker run only when the machine has
+    /// at least as many free cores as workers; with oversubscribed
+    /// workers the timeshared shards inflate the busy sum.
+    pub fn speedup(&self) -> f64 {
+        self.busy().as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// One-line throughput summary for campaign footers.
+    ///
+    /// Resilience counters (retries, quarantined shards, watchdog stalls)
+    /// are appended only when nonzero, so clean runs render one plain
+    /// throughput line.
+    pub fn render(&self) -> String {
+        let mut line = format!(
+            "{} workers, {} shards, {} trials x 2 placements in {:.2?} \
+             ({:.0} trial pairs/s, {:.2}x worker overlap / speedup)",
+            self.workers.len(),
+            self.shards(),
+            self.trials(),
+            self.wall,
+            self.throughput(),
+            self.speedup(),
+        );
+        let retried = self.retried();
+        if retried > 0 || self.quarantined > 0 || self.stalled > 0 {
+            line.push_str(&format!(
+                "; resilience: {retried} retried, {} quarantined, {} stalled",
+                self.quarantined, self.stalled
+            ));
+        }
+        if self.skipped > 0 || self.preempted > 0 {
+            line.push_str(&format!(
+                "; budget: {} shards skipped, {} preempted",
+                self.skipped, self.preempted
+            ));
+        }
+        if self.trials_saved > 0 {
+            line.push_str(&format!(
+                "; adaptive: {} trials x 2 placements saved",
+                self.trials_saved
+            ));
+        }
+        let stolen = self.stolen();
+        if stolen > 0 {
+            line.push_str(&format!("; work stealing: {stolen} shards stolen"));
+        }
+        line
+    }
+}
+
+/// One chunk of trials for one campaign cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shard {
+    pub(crate) cell: usize,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
+}
+
+/// Splits `cells` campaign cells of `trials` trials each into
+/// [`TRIALS_PER_SHARD`]-sized shards, in cell order.
+pub(crate) fn plan_shards(cells: usize, trials: u32) -> Vec<Shard> {
+    let mut shards = Vec::new();
+    for cell in 0..cells {
+        let mut lo = 0;
+        while lo < trials {
+            let hi = (lo + TRIALS_PER_SHARD).min(trials);
+            shards.push(Shard { cell, lo, hi });
+            lo = hi;
+        }
+    }
+    shards
+}
+
+/// Spreads the campaign's total trial count over the workers
+/// proportionally to the shards each one completed (the queue hands out
+/// equal-sized shards, so this matches what each worker actually ran up
+/// to the final ragged shard).
+pub(crate) fn distribute_trial_counts(stats: &mut PoolStats, shards: &[Shard]) {
+    let total: u64 = shards.iter().map(|s| u64::from(s.hi - s.lo)).sum();
+    let done: usize = stats.workers.iter().map(|w| w.shards).sum();
+    if done == 0 {
+        return;
+    }
+    let mut assigned = 0;
+    let worker_count = stats.workers.len();
+    for (i, w) in stats.workers.iter_mut().enumerate() {
+        if i + 1 == worker_count {
+            w.trials = total - assigned;
+        } else {
+            w.trials = total * w.shards as u64 / done as u64;
+            assigned += w.trials;
+        }
+    }
+}
 
 /// Exit code drivers use when a campaign completed but quarantined at
 /// least one shard (the results are explicit about which cells are
@@ -98,9 +287,9 @@ pub struct StallEvent {
     pub waited: Duration,
 }
 
-/// Campaign-level failures — the typed hierarchy that propagates from the
-/// simulator's map/translate errors ([`SetupError`]) and the checkpoint
-/// layer up to driver exit codes.
+/// Campaign-level failures — the typed errors that end a run before it
+/// can report, propagated from the checkpoint layer and the kill switch
+/// up to driver exit codes.
 #[derive(Debug)]
 pub enum CampaignError {
     /// Loading, validating, or writing a checkpoint failed.
@@ -116,20 +305,6 @@ pub enum CampaignError {
         /// Where the final checkpoint was saved, if checkpointing was on.
         checkpoint: Option<PathBuf>,
     },
-    /// Machine setup failed on a serial (non-isolated) path.
-    Setup(SetupError),
-    /// A task panicked on the *non-resilient* pool
-    /// ([`crate::parallel::try_run_sharded`]), which has no retry or
-    /// quarantine machinery. The original panic payload is preserved
-    /// instead of being lost in a `join().expect` double panic.
-    WorkerPanic {
-        /// The worker the panic unwound.
-        worker: usize,
-        /// The task it was executing.
-        task: usize,
-        /// The original panic payload.
-        payload: String,
-    },
 }
 
 impl CampaignError {
@@ -138,8 +313,6 @@ impl CampaignError {
         match self {
             CampaignError::Checkpoint(_) => 2,
             CampaignError::Interrupted { .. } => 3,
-            CampaignError::Setup(_) => 5,
-            CampaignError::WorkerPanic { .. } => EXIT_QUARANTINED,
         }
     }
 }
@@ -162,17 +335,6 @@ impl std::fmt::Display for CampaignError {
                     None => write!(f, "; no checkpoint was configured — progress lost"),
                 }
             }
-            CampaignError::Setup(e) => write!(f, "{e}"),
-            CampaignError::WorkerPanic {
-                worker,
-                task,
-                payload,
-            } => write!(
-                f,
-                "worker {worker} panicked on task {task}: {payload} \
-                 (the non-resilient pool has no retry; use the campaign \
-                 engine's --retries to isolate and quarantine shard panics)"
-            ),
         }
     }
 }
@@ -181,8 +343,7 @@ impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CampaignError::Checkpoint(e) => Some(e),
-            CampaignError::Setup(e) => Some(e),
-            CampaignError::Interrupted { .. } | CampaignError::WorkerPanic { .. } => None,
+            CampaignError::Interrupted { .. } => None,
         }
     }
 }
@@ -190,12 +351,6 @@ impl std::error::Error for CampaignError {
 impl From<CheckpointError> for CampaignError {
     fn from(e: CheckpointError) -> CampaignError {
         CampaignError::Checkpoint(e)
-    }
-}
-
-impl From<SetupError> for CampaignError {
-    fn from(e: SetupError) -> CampaignError {
-        CampaignError::Setup(e)
     }
 }
 
@@ -229,15 +384,9 @@ pub struct FaultPlan {
     /// inside the simulated machine where only the shadow oracle can
     /// catch it.
     pub corrupt_per_mille: u16,
-    /// Kill worker `W` (its claim loop exits without delivering the shard
-    /// it just claimed) once it has completed `K` shards — `(W, K)` from
-    /// `--inject-worker-death W:K`. The supervision layer must detect the
-    /// death, reclaim the abandoned shard, and finish the campaign with
-    /// output bitwise identical to an undisturbed run.
-    pub worker_death: Option<(u32, u32)>,
     /// Storage fault injection (`--inject-io KIND:PM`): torn writes,
     /// short reads, ENOSPC, or failed renames on the durable-write seam
-    /// under checkpoints and the job manifest. Rolls are keyed by
+    /// under checkpoints. Rolls are keyed by
     /// [`FaultPlan::seed`] and a per-operation counter (see
     /// [`crate::iofault::IoInjector`]), so an injected run replays
     /// exactly.
@@ -254,7 +403,6 @@ impl Default for FaultPlan {
             stall_per_mille: 0,
             stall: Duration::from_millis(100),
             corrupt_per_mille: 0,
-            worker_death: None,
             io: None,
         }
     }
@@ -267,7 +415,6 @@ impl FaultPlan {
             || self.fatal_per_mille > 0
             || self.stall_per_mille > 0
             || self.corrupt_per_mille > 0
-            || self.worker_death.is_some()
             || self.io.is_some()
     }
 
@@ -278,12 +425,6 @@ impl FaultPlan {
             Some(fault) => IoInjector::new(self.seed, fault),
             None => IoInjector::disabled(),
         }
-    }
-
-    /// Whether the plan kills `worker` at its next claim once it has
-    /// completed `shards_done` shards.
-    pub fn kills_worker(&self, worker: usize, shards_done: usize) -> bool {
-        self.worker_death == Some((worker as u32, shards_done as u32))
     }
 
     fn roll(&self, index: usize, salt: u64) -> u16 {
@@ -332,12 +473,6 @@ pub struct RunPolicy {
     /// The resource budget (`--deadline` / `--cell-deadline-ms`) enforced
     /// by the [`crate::supervisor`]. Inactive by default.
     pub budget: BudgetPolicy,
-    /// A per-run cancellation latch. When the owner trips it, this run —
-    /// and only this run — stops at its next claim boundary with
-    /// [`StopReason::Cancelled`], draining in-flight shards and flushing
-    /// the checkpoint exactly like a graceful signal. `campaignd` arms
-    /// one per job so `cancel <id>` preempts a single job.
-    pub cancel: Option<crate::supervisor::CancelFlag>,
 }
 
 impl Default for RunPolicy {
@@ -350,22 +485,7 @@ impl Default for RunPolicy {
             checkpoint: None,
             resume: None,
             budget: BudgetPolicy::default(),
-            cancel: None,
         }
-    }
-}
-
-impl RunPolicy {
-    /// Whether any option requires routing through the resilient engine
-    /// even when the caller did not ask for worker parallelism.
-    pub fn wants_engine(&self) -> bool {
-        self.checkpoint.is_some()
-            || self.resume.is_some()
-            || self.faults.is_some()
-            || self.stop_after.is_some()
-            || self.stall_deadline.is_some()
-            || self.budget.is_active()
-            || self.cancel.is_some()
     }
 }
 
@@ -473,57 +593,34 @@ struct WatchSlot {
     task: AtomicUsize,
 }
 
-/// What the monitor thread observed: watchdog stalls plus the worker
-/// deaths it detected and the abandoned shards it re-enqueued.
-struct MonitorReport {
-    stalls: Vec<StallEvent>,
-    deaths: usize,
-    reclaimed: usize,
+/// The run's delivered outcomes and checkpoint, shared by the workers.
+struct Collector<R> {
+    slots: Vec<Option<ShardOutcome<R>>>,
+    ck: Option<Checkpoint>,
+    since_checkpoint: usize,
+    delivered: usize,
 }
 
-/// Runs `f` over every task on a panic-isolated worker pool with
-/// deterministic retry, optional checkpoint/resume, an optional stall
-/// watchdog, and optional fault injection.
+/// Runs `f` over every task on a panic-isolated pool of `workers` scoped
+/// threads with deterministic retry, optional checkpoint/resume, an
+/// optional stall watchdog, the resource budget, and optional fault
+/// injection — the one engine every campaign runs on.
 ///
-/// The generic, driver-facing primitive: results land in task order, and
-/// — provided `f` is a pure function of its task — are bitwise identical
-/// for any worker count, any interleaving of kills and resumes, and any
-/// transient-fault plan that retry can absorb. `fingerprint` names the
-/// campaign (settings + driver coordinates); checkpoints recording a
-/// different fingerprint or task count are rejected rather than resumed.
+/// Results land in task order, and — provided `f` is a pure function of
+/// its task — are bitwise identical for any worker count, any
+/// interleaving of kills and resumes, and any transient-fault plan that
+/// retry can absorb. `fingerprint` names the campaign (settings + driver
+/// coordinates); checkpoints recording a different fingerprint or task
+/// count are rejected rather than resumed. `label` renders a task's
+/// coordinates for quarantine reports and telemetry.
 ///
-/// `label` renders a task's coordinates for quarantine reports.
-pub fn run_sharded_resilient<T, R, F>(
-    tasks: &[T],
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    fingerprint: u64,
-    label: &(dyn Fn(&T) -> String + Sync),
-    f: F,
-) -> Result<ResilientRun<R>, CampaignError>
-where
-    T: Sync,
-    R: Send + Record,
-    F: Fn(&T) -> R + Sync,
-{
-    run_sharded_resilient_observed(
-        tasks,
-        workers,
-        policy,
-        fingerprint,
-        label,
-        &Telemetry::disabled(),
-        f,
-    )
-}
-
-/// [`run_sharded_resilient`] with a [`Telemetry`] handle: emits the
-/// shard-lifecycle slice of the event schema — resume restores,
-/// claim/complete/retry/quarantine/preempt/skip, checkpoint flushes.
+/// `telemetry` receives the shard-lifecycle slice of the event schema —
+/// resume restores, claim/complete/retry/quarantine/preempt/skip,
+/// checkpoint flushes (pass [`Telemetry::disabled`] for none).
 /// Campaign-level start/stop events belong to the *caller*, which knows
 /// the driver identity; this also keeps the adaptive scheduler's
 /// per-round engine runs from emitting nested campaign envelopes.
-pub fn run_sharded_resilient_observed<T, R, F>(
+pub fn run_sharded_resilient<T, R, F>(
     tasks: &[T],
     workers: NonZeroUsize,
     policy: &RunPolicy,
@@ -545,7 +642,11 @@ where
         .unwrap_or_default();
     let mut slots: Vec<Option<ShardOutcome<R>>> =
         std::iter::repeat_with(|| None).take(tasks.len()).collect();
-    let mut ck = Checkpoint::new(fingerprint, tasks.len());
+    // Results are encoded for the checkpoint only when one is written.
+    let mut ck = policy
+        .checkpoint
+        .as_ref()
+        .map(|_| Checkpoint::new(fingerprint, tasks.len()));
     let mut resumed = 0usize;
     let mut prior = Duration::ZERO;
     if let Some(path) = &policy.resume {
@@ -593,7 +694,9 @@ where
             for (i, r) in loaded.decoded::<R>()? {
                 if slots[i].is_none() {
                     resumed += 1;
-                    ck.record(i, &r);
+                    if let Some(ck) = &mut ck {
+                        ck.record(i, &r);
+                    }
                     slots[i] = Some(ShardOutcome::Done(r));
                 }
             }
@@ -605,11 +708,39 @@ where
             }
         }
     }
-    ck.consumed = prior;
     // Wall-clock consumed by earlier runs in the resume chain counts
     // against `--deadline`: a resumed campaign gets the remainder of its
     // budget, never a fresh one.
-    let supervisor = Supervisor::with_cancel(policy.budget, prior, policy.cancel.clone());
+    let supervisor = Supervisor::with_consumed(policy.budget, prior);
+    let flush = |ck: &mut Checkpoint, cp: &CheckpointPolicy, when: &str| {
+        ck.consumed = supervisor.elapsed();
+        // A failed flush (disk full, injected fault) costs
+        // recoverability, not the campaign: results so far live in
+        // memory and the next flush retries.
+        match ck.save_with(&cp.path, &injector) {
+            Ok(()) => {
+                if telemetry.is_armed() {
+                    telemetry.emit(Event::CheckpointFlush {
+                        path: cp.path.display().to_string(),
+                        done: ck.done.len() as u64,
+                        tasks: tasks.len() as u64,
+                    });
+                }
+            }
+            Err(e) => {
+                eprintln!(
+                    "warning: {when}checkpoint flush to {} failed: {e}",
+                    cp.path.display()
+                );
+                if telemetry.is_armed() {
+                    telemetry.emit(Event::CheckpointWriteFailed {
+                        path: cp.path.display().to_string(),
+                        error: e.to_string(),
+                    });
+                }
+            }
+        }
+    };
 
     let pending: Vec<usize> = (0..tasks.len()).filter(|&i| slots[i].is_none()).collect();
     // The kill switch is enforced at claim time: with `stop_after: Some(n)`
@@ -625,22 +756,6 @@ where
     // `stop_after` cap keeps its exact min(n, pending) semantics.
     let queues = StealQueues::seed(worker_count, &pending);
     let claims = AtomicUsize::new(0);
-    // Tasks not yet terminally resolved (completed, preempted, or
-    // quarantined). With worker death in play an idle worker cannot
-    // treat empty deques as "campaign over": a dead worker's shard may
-    // still be waiting for the monitor to reclaim it.
-    let outstanding = AtomicUsize::new(pending.len());
-    let death_enabled = policy
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.worker_death.is_some());
-    let alive: Vec<AtomicBool> = (0..worker_count).map(|_| AtomicBool::new(true)).collect();
-    // Shards the monitor quarantined on behalf of a dead worker; merged
-    // into the result slots after the worker scope ends. A side channel
-    // (not the mpsc queue) so the monitor never holds a sender alive —
-    // the collector's `rx.iter()` ends exactly when the workers drop
-    // theirs.
-    let dead_failures: StdMutex<Vec<(usize, ShardFailure)>> = StdMutex::new(Vec::new());
     let halt = AtomicBool::new(false);
     let done = AtomicBool::new(false);
     // First supervisor stop observed at a claim boundary; set-once so the
@@ -659,284 +774,189 @@ where
         .map(|_| Arc::new(AtomicBool::new(false)))
         .collect();
     let cell_deadline = supervisor.cell_deadline();
-    let (tx, rx) = mpsc::channel::<(usize, ShardOutcome<R>)>();
+    // Outcomes are delivered under one lock by the worker that produced
+    // them. With no collector thread, a one-worker run executes entirely
+    // on the calling thread, with no per-shard wakeups.
+    let collector = Mutex::new(Collector {
+        slots,
+        ck,
+        since_checkpoint: 0,
+        delivered: 0,
+    });
+    let deliver = |i: usize, outcome: ShardOutcome<R>| {
+        let mut guard = collector.lock().unwrap_or_else(PoisonError::into_inner);
+        let c = &mut *guard;
+        if let (ShardOutcome::Done(r), Some(ck), Some(cp)) =
+            (&outcome, &mut c.ck, &policy.checkpoint)
+        {
+            // Only completed shards are checkpointed — a preempted shard
+            // re-runs in full on resume, keeping the final output bitwise
+            // identical.
+            ck.record(i, r);
+            c.since_checkpoint += 1;
+            if c.since_checkpoint >= cp.every {
+                flush(ck, cp, "");
+                c.since_checkpoint = 0;
+            }
+        }
+        debug_assert!(c.slots[i].is_none(), "task {i} produced twice");
+        c.slots[i] = Some(outcome);
+        c.delivered += 1;
+        if policy.stop_after.is_some_and(|stop| c.delivered >= stop) {
+            halt.store(true, Ordering::Release);
+        }
+    };
+
+    let work = |w: usize| -> WorkerStats {
+        let watch_slot = &watch[w];
+        let preempt_flag = &preempt[w];
+        let mut stats = WorkerStats::default();
+        loop {
+            if halt.load(Ordering::Acquire) {
+                break;
+            }
+            // The budget is enforced here, at the claim boundary:
+            // in-flight shards drain, new ones are not started.
+            if let Some(reason) = supervisor.should_stop() {
+                let _ = stop_slot.set(reason);
+                break;
+            }
+            if claims.fetch_add(1, Ordering::Relaxed) >= claim_cap {
+                break;
+            }
+            let Some(claim) = queues.claim(w) else { break };
+            let i = claim.task;
+            if claim.stolen {
+                stats.stolen += 1;
+            }
+            let task = &tasks[i];
+            if telemetry.is_armed() {
+                telemetry.emit(Event::ShardClaim {
+                    task: i as u64,
+                    worker: w as u64,
+                    label: label(task),
+                });
+            }
+            watch_slot.task.store(i, Ordering::Release);
+            watch_slot
+                .started
+                .store(started.elapsed().as_nanos() as u64 + 1, Ordering::Release);
+            if cell_deadline.is_some() {
+                // Re-arm after the watch slot is current, so a monitor
+                // reading the *previous* shard's start time can at worst
+                // preempt this shard a few trials early — never let it
+                // run unbounded.
+                preempt_flag.store(false, Ordering::Release);
+                supervisor::set_preempt_flag(Some(preempt_flag.clone()));
+            }
+            let t0 = Instant::now();
+            let mut attempt = 0u32;
+            let outcome = loop {
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(plan) = &policy.faults {
+                        plan.inject(i, attempt);
+                    }
+                    f(task)
+                }));
+                match run {
+                    Ok(r) => break ShardOutcome::Done(r),
+                    Err(payload) => {
+                        if payload.downcast_ref::<ShardPreempted>().is_some() {
+                            // Preemption is not a fault: no retry, no
+                            // quarantine — the shard simply ran out of
+                            // time.
+                            break ShardOutcome::TimedOut(t0.elapsed());
+                        }
+                        if attempt >= policy.max_retries {
+                            break ShardOutcome::Quarantined(ShardFailure {
+                                index: i,
+                                task: label(task),
+                                attempts: attempt + 1,
+                                payload: panic_message(payload.as_ref()),
+                            });
+                        }
+                        if telemetry.is_armed() {
+                            telemetry.emit(Event::ShardRetry {
+                                task: i as u64,
+                                worker: w as u64,
+                                attempt: u64::from(attempt),
+                                error: panic_message(payload.as_ref()),
+                            });
+                        }
+                        attempt += 1;
+                        stats.retried += 1;
+                    }
+                }
+            };
+            if cell_deadline.is_some() {
+                supervisor::set_preempt_flag(None);
+            }
+            watch_slot.started.store(0, Ordering::Release);
+            stats.busy += t0.elapsed();
+            stats.shards += 1;
+            if telemetry.is_armed() {
+                match &outcome {
+                    ShardOutcome::Done(_) => {
+                        telemetry.emit(Event::ShardComplete {
+                            task: i as u64,
+                            worker: w as u64,
+                            wall_ns: duration_ns(t0.elapsed()),
+                        });
+                    }
+                    ShardOutcome::Quarantined(failure) => {
+                        telemetry.emit(Event::ShardQuarantine {
+                            task: i as u64,
+                            worker: w as u64,
+                            attempts: u64::from(failure.attempts),
+                            error: failure.payload.clone(),
+                        });
+                    }
+                    ShardOutcome::TimedOut(t) => {
+                        telemetry.emit(Event::ShardPreempt {
+                            task: i as u64,
+                            worker: w as u64,
+                            wall_ns: duration_ns(*t),
+                        });
+                    }
+                    ShardOutcome::Skipped(_) => {}
+                }
+            }
+            deliver(i, outcome);
+        }
+        stats
+    };
 
     let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(worker_count);
     let mut stalls: Vec<StallEvent> = Vec::new();
-    let mut deaths = 0usize;
-    let mut reclaimed = 0usize;
-    let mut live_done = 0usize;
-
-    let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..worker_count)
+        // Worker 0 is the calling thread; the others are scoped threads.
+        let helpers: Vec<_> = (1..worker_count)
             .map(|w| {
-                let tx = tx.clone();
-                let watch_slot = &watch[w];
-                let preempt_flag = &preempt[w];
-                let alive_flag = &alive[w];
-                let queues = &queues;
-                let claims = &claims;
-                let outstanding = &outstanding;
-                let halt = &halt;
-                let supervisor = &supervisor;
-                let stop_slot = &stop_slot;
-                scope.spawn(move || {
-                    let mut stats = WorkerStats {
-                        shards: 0,
-                        trials: 0,
-                        busy: Duration::ZERO,
-                        retried: 0,
-                        stolen: 0,
-                    };
-                    loop {
-                        if halt.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // The budget is enforced here, at the claim
-                        // boundary: in-flight shards drain, new ones are
-                        // not started.
-                        if let Some(reason) = supervisor.should_stop() {
-                            let _ = stop_slot.set(reason);
-                            break;
-                        }
-                        let k = claims.fetch_add(1, Ordering::Relaxed);
-                        if k >= claim_cap {
-                            break;
-                        }
-                        let Some(claim) = queues.claim(w) else {
-                            // Nothing was consumed: release the claim slot
-                            // so the `stop_after` cap stays exact.
-                            claims.fetch_sub(1, Ordering::Relaxed);
-                            if death_enabled && outstanding.load(Ordering::Acquire) > 0 {
-                                // A dead worker's shard may be in flight
-                                // between abandonment and reclamation —
-                                // stay available to pick it up.
-                                std::thread::sleep(Duration::from_micros(200));
-                                continue;
-                            }
-                            break;
-                        };
-                        let i = claim.task;
-                        if claim.stolen {
-                            stats.stolen += 1;
-                        }
-                        let task = &tasks[i];
-                        if telemetry.is_armed() {
-                            telemetry.emit(Event::ShardClaim {
-                                task: i as u64,
-                                worker: w as u64,
-                                label: label(task),
-                            });
-                        }
-                        watch_slot.task.store(i, Ordering::Release);
-                        watch_slot
-                            .started
-                            .store(started.elapsed().as_nanos() as u64 + 1, Ordering::Release);
-                        if death_enabled {
-                            if let Some(plan) = &policy.faults {
-                                if plan.kills_worker(w, stats.shards) {
-                                    // Injected whole-worker loss: exit
-                                    // without delivering the claimed shard.
-                                    // The watch slot stays set so the
-                                    // monitor can detect the abandonment
-                                    // and reclaim the shard.
-                                    alive_flag.store(false, Ordering::Release);
-                                    return stats;
-                                }
-                            }
-                        }
-                        if cell_deadline.is_some() {
-                            // Re-arm after the watch slot is current, so a
-                            // monitor reading the *previous* shard's start
-                            // time can at worst preempt this shard a few
-                            // trials early — never let it run unbounded.
-                            preempt_flag.store(false, Ordering::Release);
-                            supervisor::set_preempt_flag(Some(preempt_flag.clone()));
-                        }
-                        let t0 = Instant::now();
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if let Some(plan) = &policy.faults {
-                                    plan.inject(i, attempt);
-                                }
-                                f(task)
-                            }));
-                            match run {
-                                Ok(r) => break ShardOutcome::Done(r),
-                                Err(payload) => {
-                                    if payload.downcast_ref::<ShardPreempted>().is_some() {
-                                        // Preemption is not a fault: no
-                                        // retry, no quarantine — the shard
-                                        // simply ran out of time.
-                                        break ShardOutcome::TimedOut(t0.elapsed());
-                                    }
-                                    if attempt >= policy.max_retries {
-                                        break ShardOutcome::Quarantined(ShardFailure {
-                                            index: i,
-                                            task: label(task),
-                                            attempts: attempt + 1,
-                                            payload: panic_message(payload.as_ref()),
-                                        });
-                                    }
-                                    if telemetry.is_armed() {
-                                        telemetry.emit(Event::ShardRetry {
-                                            task: i as u64,
-                                            worker: w as u64,
-                                            attempt: u64::from(attempt),
-                                            error: panic_message(payload.as_ref()),
-                                        });
-                                    }
-                                    attempt += 1;
-                                    stats.retried += 1;
-                                }
-                            }
-                        };
-                        supervisor::set_preempt_flag(None);
-                        watch_slot.started.store(0, Ordering::Release);
-                        stats.busy += t0.elapsed();
-                        stats.shards += 1;
-                        if telemetry.is_armed() {
-                            match &outcome {
-                                ShardOutcome::Done(_) => {
-                                    telemetry.emit(Event::ShardComplete {
-                                        task: i as u64,
-                                        worker: w as u64,
-                                        wall_ns: duration_ns(t0.elapsed()),
-                                    });
-                                }
-                                ShardOutcome::Quarantined(failure) => {
-                                    telemetry.emit(Event::ShardQuarantine {
-                                        task: i as u64,
-                                        worker: w as u64,
-                                        attempts: u64::from(failure.attempts),
-                                        error: failure.payload.clone(),
-                                    });
-                                }
-                                ShardOutcome::TimedOut(t) => {
-                                    telemetry.emit(Event::ShardPreempt {
-                                        task: i as u64,
-                                        worker: w as u64,
-                                        wall_ns: duration_ns(*t),
-                                    });
-                                }
-                                ShardOutcome::Skipped(_) => {}
-                            }
-                        }
-                        outstanding.fetch_sub(1, Ordering::AcqRel);
-                        if tx.send((i, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                    stats
-                })
+                let work = &work;
+                scope.spawn(move || work(w))
             })
             .collect();
-        drop(tx);
 
-        // One monitor thread serves the supervision layer: the stall
-        // watchdog (report-only), the budget's cell deadline (preempting),
-        // and worker-death detection + shard reclamation. Polling
-        // granularity follows the tightest configured bound.
+        // One monitor thread serves the stall watchdog (report-only) and
+        // the budget's cell deadline (preempting). Polling granularity
+        // follows the tightest configured bound.
         let stall_deadline = policy.stall_deadline;
-        let max_retries = policy.max_retries;
-        let monitor_needed = stall_deadline.is_some() || cell_deadline.is_some() || death_enabled;
-        let monitor = monitor_needed.then(|| {
+        let tightest = [stall_deadline, cell_deadline].into_iter().flatten().min();
+        let monitor = tightest.map(|tightest| {
             let watch = &watch;
             let done = &done;
             let preempt = &preempt;
-            let alive = &alive;
-            let queues = &queues;
-            let outstanding = &outstanding;
-            let dead_failures = &dead_failures;
             scope.spawn(move || {
-                let mut candidates: Vec<Duration> = Vec::new();
-                candidates.extend(stall_deadline);
-                candidates.extend(cell_deadline);
-                if death_enabled {
-                    // Death detection has no configured deadline of its
-                    // own; poll fast enough that reclamation latency is
-                    // negligible against shard runtimes.
-                    candidates.push(Duration::from_millis(8));
-                }
-                let tightest = candidates
-                    .iter()
-                    .min()
-                    .copied()
-                    .expect("monitor spawned without a bound");
                 let poll = (tightest / 8)
                     .max(Duration::from_millis(2))
                     .min(Duration::from_millis(200));
                 let mut flagged: HashSet<(usize, usize)> = HashSet::new();
-                let mut report = MonitorReport {
-                    stalls: Vec::new(),
-                    deaths: 0,
-                    reclaimed: 0,
-                };
-                // Reclamation bookkeeping: how often each task has been
-                // abandoned by a dying worker, and re-enqueues scheduled
-                // for after their exponential backoff.
-                let mut death_attempts: HashMap<usize, u32> = HashMap::new();
-                let mut backlog: Vec<(Duration, usize, u32)> = Vec::new();
-                let quarantine = |task: usize, attempts: u32| {
-                    let failure = ShardFailure {
-                        index: task,
-                        task: label(&tasks[task]),
-                        attempts,
-                        payload: "owning worker died before delivering the shard".to_owned(),
-                    };
-                    if telemetry.is_armed() {
-                        telemetry.emit(Event::ShardQuarantine {
-                            task: task as u64,
-                            worker: worker_count as u64,
-                            attempts: u64::from(attempts),
-                            error: failure.payload.clone(),
-                        });
-                    }
-                    dead_failures
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((task, failure));
-                    outstanding.fetch_sub(1, Ordering::AcqRel);
-                };
-                loop {
-                    // Read the exit flag *before* the sweep so one final
-                    // pass always runs after the workers have joined —
-                    // by then any undetected abandonment or undue backlog
-                    // entry can only be quarantined, never re-run.
-                    let finished = done.load(Ordering::Acquire);
-                    let now = started.elapsed();
-                    let now_ns = now.as_nanos() as u64;
+                let mut stalls = Vec::new();
+                while !done.load(Ordering::Acquire) {
+                    let now_ns = started.elapsed().as_nanos() as u64;
                     for (w, slot) in watch.iter().enumerate() {
                         let s = slot.started.load(Ordering::Acquire);
                         if s == 0 {
-                            continue;
-                        }
-                        if death_enabled && !alive[w].load(Ordering::Acquire) {
-                            // The worker died after claiming this shard:
-                            // clear the slot and schedule a deterministic
-                            // re-execution on a surviving worker.
-                            let task = slot.task.load(Ordering::Acquire);
-                            slot.started.store(0, Ordering::Release);
-                            report.deaths += 1;
-                            if telemetry.is_armed() {
-                                telemetry.emit(Event::WorkerDead {
-                                    worker: w as u64,
-                                    task: task as u64,
-                                });
-                            }
-                            let attempt = {
-                                let a = death_attempts.entry(task).or_insert(0);
-                                *a += 1;
-                                *a
-                            };
-                            if attempt <= max_retries.max(1) && !finished {
-                                let backoff = Duration::from_millis(5 << (attempt - 1).min(6));
-                                backlog.push((now + backoff, task, attempt));
-                            } else {
-                                quarantine(task, attempt);
-                            }
                             continue;
                         }
                         let elapsed = now_ns.saturating_sub(s - 1);
@@ -953,7 +973,7 @@ where
                                             wall_ns: duration_ns(waited),
                                         });
                                     }
-                                    report.stalls.push(StallEvent {
+                                    stalls.push(StallEvent {
                                         worker: w,
                                         task,
                                         waited,
@@ -967,97 +987,14 @@ where
                             }
                         }
                     }
-                    // Re-enqueue reclaims whose backoff has elapsed onto a
-                    // surviving worker's deque (any idle worker can steal
-                    // the shard from there).
-                    let mut k = 0;
-                    while k < backlog.len() {
-                        let (due, task, attempt) = backlog[k];
-                        if due > now && !finished {
-                            k += 1;
-                            continue;
-                        }
-                        backlog.remove(k);
-                        let survivor =
-                            (0..worker_count).find(|&v| alive[v].load(Ordering::Acquire));
-                        match survivor {
-                            Some(v) if !finished => {
-                                queues.push(v, task);
-                                report.reclaimed += 1;
-                                if telemetry.is_armed() {
-                                    telemetry.emit(Event::WorkerReclaim {
-                                        task: task as u64,
-                                        attempt: u64::from(attempt),
-                                    });
-                                }
-                            }
-                            _ => quarantine(task, attempt),
-                        }
-                    }
-                    if finished {
-                        break;
-                    }
                     std::thread::sleep(poll);
                 }
-                report
+                stalls
             })
         });
 
-        // Collecting cannot fail: a failed checkpoint flush degrades to
-        // a warning + telemetry event rather than an error, because the
-        // results live in memory and the next flush retries.
-        let mut since_checkpoint = 0usize;
-        for (i, outcome) in rx.iter() {
-            if let ShardOutcome::Done(r) = &outcome {
-                // Only completed shards are checkpointed — a preempted
-                // shard re-runs in full on resume, keeping the final
-                // output bitwise identical.
-                ck.record(i, r);
-                since_checkpoint += 1;
-            }
-            debug_assert!(slots[i].is_none(), "task {i} produced twice");
-            slots[i] = Some(outcome);
-            live_done += 1;
-            if let Some(cp) = &policy.checkpoint {
-                if since_checkpoint >= cp.every {
-                    ck.consumed = supervisor.elapsed();
-                    // A failed flush (disk full, injected fault) costs
-                    // recoverability, not the campaign: results so far
-                    // live in memory and the next flush retries.
-                    match ck.save_with(&cp.path, &injector) {
-                        Ok(()) => {
-                            if telemetry.is_armed() {
-                                telemetry.emit(Event::CheckpointFlush {
-                                    path: cp.path.display().to_string(),
-                                    done: ck.done.len() as u64,
-                                    tasks: tasks.len() as u64,
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "warning: checkpoint flush to {} failed: {e}",
-                                cp.path.display()
-                            );
-                            if telemetry.is_armed() {
-                                telemetry.emit(Event::CheckpointWriteFailed {
-                                    path: cp.path.display().to_string(),
-                                    error: e.to_string(),
-                                });
-                            }
-                        }
-                    }
-                    since_checkpoint = 0;
-                }
-            }
-            if let Some(stop) = policy.stop_after {
-                if live_done >= stop {
-                    halt.store(true, Ordering::Release);
-                }
-            }
-        }
-
-        for handle in handles {
+        worker_stats.push(work(0));
+        for handle in helpers {
             // Workers isolate task panics internally; a join failure can
             // only come from an engine bug. Degrade to missing stats
             // rather than aborting the campaign.
@@ -1068,23 +1005,13 @@ where
         done.store(true, Ordering::Release);
         if let Some(handle) = monitor {
             if let Ok(observed) = handle.join() {
-                stalls = observed.stalls;
-                deaths = observed.deaths;
-                reclaimed = observed.reclaimed;
+                stalls = observed;
             }
         }
     });
-
-    // Shards the monitor quarantined on behalf of dead workers land in
-    // their slots now, after every live sender is gone.
-    for (i, failure) in dead_failures
+    let Collector { slots, mut ck, .. } = collector
         .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        if slots[i].is_none() {
-            slots[i] = Some(ShardOutcome::Quarantined(failure));
-        }
-    }
+        .unwrap_or_else(PoisonError::into_inner);
 
     // Steal counters, summarized once per worker so event streams expose
     // rebalancing without a per-claim firehose.
@@ -1103,31 +1030,8 @@ where
     // complete on success, maximal on interruption or budget stop. Like
     // the periodic flush, a failure degrades (the run's results are still
     // returned and rendered) rather than erroring a finished campaign.
-    if let Some(cp) = &policy.checkpoint {
-        ck.consumed = supervisor.elapsed();
-        match ck.save_with(&cp.path, &injector) {
-            Ok(()) => {
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::CheckpointFlush {
-                        path: cp.path.display().to_string(),
-                        done: ck.done.len() as u64,
-                        tasks: tasks.len() as u64,
-                    });
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: final checkpoint flush to {} failed: {e}",
-                    cp.path.display()
-                );
-                if telemetry.is_armed() {
-                    telemetry.emit(Event::CheckpointWriteFailed {
-                        path: cp.path.display().to_string(),
-                        error: e.to_string(),
-                    });
-                }
-            }
-        }
+    if let (Some(ck), Some(cp)) = (&mut ck, &policy.checkpoint) {
+        flush(ck, cp, "final ");
     }
 
     let completed = slots.iter().filter(|s| s.is_some()).count();
@@ -1140,7 +1044,7 @@ where
         None
     };
     if completed < tasks.len() && stop.is_none() {
-        // The legacy deterministic kill switch (`--kill-after`) keeps its
+        // The deterministic kill switch (`--kill-after`) keeps its
         // hard-interrupt semantics and exit code.
         return Err(CampaignError::Interrupted {
             completed,
@@ -1166,25 +1070,20 @@ where
             }
         })
         .collect();
-    let quarantined = results.iter().filter(|r| r.failure().is_some()).count();
-    let preempted = results
-        .iter()
-        .filter(|r| matches!(r, ShardOutcome::TimedOut(_)))
-        .count();
-    let skipped = results
-        .iter()
-        .filter(|r| matches!(r, ShardOutcome::Skipped(_)))
-        .count();
     let stats = PoolStats {
         wall: started.elapsed(),
         workers: worker_stats,
-        quarantined,
+        quarantined: results.iter().filter(|r| r.failure().is_some()).count(),
         stalled: stalls.len(),
-        skipped,
-        preempted,
+        skipped: results
+            .iter()
+            .filter(|r| matches!(r, ShardOutcome::Skipped(_)))
+            .count(),
+        preempted: results
+            .iter()
+            .filter(|r| matches!(r, ShardOutcome::TimedOut(_)))
+            .count(),
         trials_saved: 0,
-        deaths,
-        reclaimed,
     };
     Ok(ResilientRun {
         results,
@@ -1290,31 +1189,17 @@ pub fn cells_fingerprint(cells: &[(Vulnerability, TlbDesign)], settings: &TrialS
     )
 }
 
-/// [`crate::parallel::measure_cells`], fault-tolerantly: the same shard
-/// plan and bitwise-identical measurements, but worker panics are
-/// isolated and retried, completed shards are checkpointed, and shards
-/// that keep failing quarantine their cell instead of killing the run.
+/// Measures `(vulnerability, design)` campaign cells on the engine: the
+/// cells are split into [`TRIALS_PER_SHARD`]-trial shards, run through
+/// [`run_sharded_resilient`], and merged back per cell. Worker panics
+/// are isolated and retried, completed shards are checkpointed, and
+/// shards that keep failing quarantine their cell instead of killing the
+/// run. A clean cell's measurement is bitwise identical to
+/// [`crate::run::run_vulnerability`]'s.
+///
+/// `telemetry` wraps the engine's shard-lifecycle events in the campaign
+/// start/stop envelope (the driver identity comes from the handle).
 pub fn measure_cells_resilient(
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    workers: NonZeroUsize,
-    policy: &RunPolicy,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<CampaignOutcome, CampaignError> {
-    measure_cells_resilient_observed(
-        cells,
-        settings,
-        workers,
-        policy,
-        &Telemetry::disabled(),
-        customize,
-    )
-}
-
-/// [`measure_cells_resilient`] with a [`Telemetry`] handle: wraps the
-/// engine's shard-lifecycle events in the campaign start/stop envelope
-/// (the driver identity comes from the handle).
-pub fn measure_cells_resilient_observed(
     cells: &[(Vulnerability, TlbDesign)],
     settings: &TrialSettings,
     workers: NonZeroUsize,
@@ -1322,9 +1207,9 @@ pub fn measure_cells_resilient_observed(
     telemetry: &Telemetry,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Result<CampaignOutcome, CampaignError> {
-    let specs: Vec<BenchmarkSpec> = cells
+    let prepared: Vec<TrialCell> = cells
         .iter()
-        .map(|(v, d)| BenchmarkSpec::build_with_config(v, *d, settings.config))
+        .map(|(v, d)| TrialCell::new(v, *d, settings.config))
         .collect();
     let shards = plan_shards(cells.len(), settings.trials);
     let fingerprint = cells_fingerprint(cells, settings);
@@ -1336,7 +1221,7 @@ pub fn measure_cells_resilient_observed(
             workers: workers.get() as u64,
         });
     }
-    let run = match run_sharded_resilient_observed(
+    let run = run_sharded_resilient(
         &shards,
         workers,
         policy,
@@ -1348,14 +1233,14 @@ pub fn measure_cells_resilient_observed(
         telemetry,
         |shard| {
             run_trial_range(
-                &specs[shard.cell],
-                cells[shard.cell].1,
+                &prepared[shard.cell],
                 settings,
                 shard.lo..shard.hi,
                 customize,
             )
         },
-    ) {
+    );
+    let run = match run {
         Ok(run) => run,
         Err(e) => {
             if telemetry.is_armed() {
@@ -1446,14 +1331,25 @@ mod tests {
         NonZeroUsize::new(2).expect("nonzero")
     }
 
+    fn off() -> Telemetry {
+        Telemetry::disabled()
+    }
+
     #[test]
-    fn clean_run_matches_plain_sharding() {
+    fn clean_run_returns_results_in_task_order() {
         let _latch = supervisor::latch_guard();
         let tasks: Vec<u64> = (0..60).collect();
         let policy = RunPolicy::default();
-        let run =
-            run_sharded_resilient(&tasks, two(), &policy, 1, &|t| format!("t{t}"), |&t| t * t)
-                .expect("clean run");
+        let run = run_sharded_resilient(
+            &tasks,
+            two(),
+            &policy,
+            1,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| t * t,
+        )
+        .expect("clean run");
         assert!(run.is_clean());
         assert_eq!(run.stop, None);
         let values: Vec<u64> = run
@@ -1492,6 +1388,7 @@ mod tests {
             &RunPolicy::default(),
             2,
             &|t| format!("t{t}"),
+            &off(),
             |&t| t + 1,
         )
         .expect("clean");
@@ -1510,6 +1407,7 @@ mod tests {
             &faulty_policy,
             2,
             &|t| format!("t{t}"),
+            &off(),
             |&t| t + 1,
         )
         .expect("faulty converges");
@@ -1541,9 +1439,16 @@ mod tests {
             max_retries: 1,
             ..RunPolicy::default()
         };
-        let run =
-            run_sharded_resilient(&tasks, two(), &policy, 3, &|t| format!("task {t}"), |&t| t)
-                .expect("run completes despite faults");
+        let run = run_sharded_resilient(
+            &tasks,
+            two(),
+            &policy,
+            3,
+            &|t| format!("task {t}"),
+            &off(),
+            |&t| t,
+        )
+        .expect("run completes despite faults");
         let expected_fatal: Vec<usize> = (0..tasks.len()).filter(|&i| plan.is_fatal(i)).collect();
         assert!(!expected_fatal.is_empty(), "plan injects something");
         for (i, result) in run.results.iter().enumerate() {
@@ -1568,12 +1473,20 @@ mod tests {
             stall_deadline: Some(Duration::from_millis(10)),
             ..RunPolicy::default()
         };
-        let run = run_sharded_resilient(&tasks, two(), &policy, 4, &|t| format!("t{t}"), |&t| {
-            if t == 2 {
-                std::thread::sleep(Duration::from_millis(60));
-            }
-            t
-        })
+        let run = run_sharded_resilient(
+            &tasks,
+            two(),
+            &policy,
+            4,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| {
+                if t == 2 {
+                    std::thread::sleep(Duration::from_millis(60));
+                }
+                t
+            },
+        )
         .expect("completes");
         assert!(run.is_clean());
         assert!(run.stats.stalled >= 1, "stall detected");
@@ -1592,8 +1505,16 @@ mod tests {
             ..RunPolicy::default()
         };
         supervisor::reset_interrupt();
-        let run = run_sharded_resilient(&tasks, two(), &policy, 9, &|t| format!("t{t}"), |&t| t)
-            .expect("budget stop is a graceful Ok, not an error");
+        let run = run_sharded_resilient(
+            &tasks,
+            two(),
+            &policy,
+            9,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| t,
+        )
+        .expect("budget stop is a graceful Ok, not an error");
         assert_eq!(run.stop, Some(StopReason::DeadlineExpired));
         assert_eq!(run.stats.skipped, tasks.len());
         assert!(run
@@ -1613,6 +1534,7 @@ mod tests {
             &RunPolicy::default(),
             10,
             &|t| format!("t{t}"),
+            &off(),
             |&t| t,
         )
         .expect("graceful drain");
@@ -1641,16 +1563,24 @@ mod tests {
             },
             ..RunPolicy::default()
         };
-        let run = run_sharded_resilient(&tasks, two(), &policy, 11, &|t| format!("t{t}"), |&t| {
-            if t == 1 {
-                let t0 = Instant::now();
-                while t0.elapsed() < Duration::from_secs(10) {
-                    supervisor::preempt_point();
-                    std::thread::sleep(Duration::from_millis(1));
+        let run = run_sharded_resilient(
+            &tasks,
+            two(),
+            &policy,
+            11,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| {
+                if t == 1 {
+                    let t0 = Instant::now();
+                    while t0.elapsed() < Duration::from_secs(10) {
+                        supervisor::preempt_point();
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                 }
-            }
-            t
-        })
+                t
+            },
+        )
         .expect("completes");
         assert_eq!(run.stop, None);
         assert_eq!(run.stats.preempted, 1);
@@ -1658,6 +1588,125 @@ mod tests {
         assert!(matches!(run.results[1], ShardOutcome::TimedOut(_)));
         for i in [0usize, 2, 3] {
             assert!(run.results[i].is_done(), "shard {i} unaffected");
+        }
+    }
+
+    #[test]
+    fn empty_and_single_task_lists_run() {
+        let run = run_sharded_resilient::<u32, u64, _>(
+            &[],
+            two(),
+            &RunPolicy::default(),
+            5,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| u64::from(t),
+        )
+        .expect("empty run");
+        assert!(run.results.is_empty());
+        let eight = NonZeroUsize::new(8).expect("nonzero");
+        let run = run_sharded_resilient(
+            &[7u64],
+            eight,
+            &RunPolicy::default(),
+            6,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| t + 1,
+        )
+        .expect("single run");
+        assert_eq!(run.results[0].done(), Some(&8));
+        // Only as many workers as tasks are spawned.
+        assert_eq!(run.stats.workers.len(), 1);
+    }
+
+    #[test]
+    fn an_uneven_load_makes_idle_workers_steal() {
+        let _latch = supervisor::latch_guard();
+        // Worker 0 owns tasks 0..4 and parks on task 0; worker 1 drains
+        // its own chunk quickly and must steal the rest of worker 0's.
+        let tasks: Vec<u64> = (0..8).collect();
+        let run = run_sharded_resilient(
+            &tasks,
+            two(),
+            &RunPolicy::default(),
+            7,
+            &|t| format!("t{t}"),
+            &off(),
+            |&t| {
+                if t == 0 {
+                    std::thread::sleep(Duration::from_millis(60));
+                }
+                t * 10
+            },
+        )
+        .expect("completes");
+        let values: Vec<u64> = run.results.iter().map(|r| *r.done().expect("ok")).collect();
+        assert_eq!(values, tasks.iter().map(|t| t * 10).collect::<Vec<_>>());
+        assert!(
+            run.stats.stolen() > 0,
+            "expected steals, got {:?}",
+            run.stats
+        );
+        assert!(run.stats.render().contains("work stealing"));
+    }
+
+    #[test]
+    fn throughput_counts_trial_pairs_once() {
+        let worker = |shards, trials| WorkerStats {
+            shards,
+            trials,
+            busy: Duration::from_secs(1),
+            ..WorkerStats::default()
+        };
+        let stats = PoolStats {
+            wall: Duration::from_secs(2),
+            workers: vec![worker(4, 100), worker(2, 50)],
+            ..PoolStats::default()
+        };
+        // 150 trial pairs over 2 seconds: exactly 75 pairs/s, with no
+        // doubling for the two placements each pair already contains.
+        assert_eq!(stats.trials(), 150);
+        assert!((stats.throughput() - 75.0).abs() < 1e-9);
+        let text = stats.render();
+        assert!(
+            text.contains("trial pairs/s") && text.contains("speedup"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn measured_cells_match_the_reference_for_each_worker_count() {
+        let _latch = supervisor::latch_guard();
+        let vulns = sectlb_model::enumerate_vulnerabilities();
+        let settings = TrialSettings {
+            trials: 30,
+            ..TrialSettings::default()
+        };
+        let cells: Vec<_> = [vulns[0], vulns[15]]
+            .into_iter()
+            .flat_map(|v| [(v, TlbDesign::Sa), (v, TlbDesign::Rf)])
+            .collect();
+        let reference: Vec<CellOutcome> = cells
+            .iter()
+            .map(|(v, d)| CellOutcome::Measured(crate::run::run_vulnerability(v, *d, &settings)))
+            .collect();
+        for workers in [1usize, 2, 4] {
+            let w = NonZeroUsize::new(workers).expect("nonzero");
+            let outcome = measure_cells_resilient(
+                &cells,
+                &settings,
+                w,
+                &RunPolicy::default(),
+                &off(),
+                &|b| b,
+            )
+            .expect("clean");
+            assert_eq!(outcome.cells, reference, "workers={workers} diverged");
+            assert_eq!(
+                outcome.stats.trials(),
+                u64::from(settings.trials) * cells.len() as u64
+            );
         }
     }
 }

@@ -8,10 +8,9 @@
 //! TLB-miss counter. The counts of slow trials give the empirical
 //! probabilities `p1*` and `p2*` and the channel capacity `C*`.
 
-use std::num::NonZeroUsize;
-
 use sectlb_model::state::State;
 use sectlb_model::Vulnerability;
+use sectlb_sim::cpu::Instr;
 use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
 use sectlb_sim::os::OsError;
 use sectlb_tlb::config::TlbConfig;
@@ -34,12 +33,6 @@ pub struct TrialSettings {
     /// RF random-fill eviction policy (the insecure `LruWay` variant is
     /// only used by the `ablation_rf` study).
     pub rf_eviction: RandomFillEviction,
-    /// Worker threads for the campaign. `None` runs the legacy serial
-    /// path; `Some(n)` shards trials across `n` scoped threads through
-    /// [`crate::parallel`]. Results are bitwise identical either way:
-    /// every trial's seed depends only on
-    /// `(base_seed, vulnerability, design, placement, trial index)`.
-    pub workers: Option<NonZeroUsize>,
     /// Shadow-oracle guardrails (`--oracle[=RATE]`,
     /// `--inject-corruption[=PM]`). `None` leaves the machines at their
     /// build-profile default and never installs a reporting context, so
@@ -56,7 +49,6 @@ impl Default for TrialSettings {
             config: TlbConfig::security_eval(),
             base_seed: 0x7ab1e4,
             rf_eviction: RandomFillEviction::RandomWay,
-            workers: None,
             oracle: None,
         }
     }
@@ -278,7 +270,7 @@ fn run_trial(
     spec: &BenchmarkSpec,
     design: TlbDesign,
     placement: Placement,
-    program: &[sectlb_sim::cpu::Instr],
+    program: &[Instr],
     seed: u64,
     settings: &TrialSettings,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
@@ -308,11 +300,9 @@ fn run_trial(
     Ok(reads[1] > reads[0])
 }
 
-/// Measures one vulnerability on one design.
-///
-/// Runs serially when `settings.workers` is `None`, and through the
-/// sharded [`crate::parallel`] engine otherwise; the two paths produce
-/// bitwise-identical measurements.
+/// Measures one vulnerability on one design: the plain single-cell loop
+/// over `0..settings.trials` — the reference every engine run of the
+/// same cell reproduces bitwise.
 pub fn run_vulnerability(
     vulnerability: &Vulnerability,
     design: TlbDesign,
@@ -329,85 +319,90 @@ pub fn run_vulnerability_with_builder(
     settings: &TrialSettings,
     customize: impl Fn(MachineBuilder) -> MachineBuilder + Sync,
 ) -> Measurement {
-    match settings.workers {
-        Some(workers) => {
-            let cells = [(*vulnerability, design)];
-            crate::parallel::measure_cells(&cells, settings, workers, &customize)
-                .0
-                .remove(0)
-        }
-        None => {
-            let spec = BenchmarkSpec::build_with_config(vulnerability, design, settings.config);
-            run_trial_range(&spec, design, settings, 0..settings.trials, &customize)
+    let cell = TrialCell::new(vulnerability, design, settings.config);
+    run_trial_range(&cell, settings, 0..settings.trials, &customize)
+}
+
+/// One campaign cell ready to run: its benchmark specification plus the
+/// mapped and not-mapped programs. The programs depend only on the spec
+/// and the placement, so they are generated once per cell and shared by
+/// every shard of it — the trial loop allocates nothing for them.
+#[derive(Debug, Clone)]
+pub struct TrialCell {
+    /// The resolved benchmark.
+    pub spec: BenchmarkSpec,
+    /// The TLB design under test.
+    pub design: TlbDesign,
+    mapped: Vec<Instr>,
+    not_mapped: Vec<Instr>,
+}
+
+impl TrialCell {
+    /// Builds the cell of `vulnerability` on `design` with geometry
+    /// `config`.
+    pub fn new(vulnerability: &Vulnerability, design: TlbDesign, config: TlbConfig) -> TrialCell {
+        let spec = BenchmarkSpec::build_with_config(vulnerability, design, config);
+        TrialCell {
+            mapped: generate_program(&spec, Placement::Mapped),
+            not_mapped: generate_program(&spec, Placement::NotMapped),
+            spec,
+            design,
         }
     }
 }
 
 /// Measures a contiguous range of trial indices for one cell — the shard
-/// unit of the parallel engine, also usable directly (the equivalence
-/// proptests split campaigns at arbitrary boundaries with it).
+/// unit of the campaign engine, also usable directly (the equivalence
+/// proptests split campaigns at arbitrary boundaries with it). The result
+/// covers `range.len()` trials per placement.
 ///
-/// `spec` must be built from the same vulnerability/design/config the
-/// seeds are derived for; the result covers `range.len()` trials per
-/// placement.
+/// A machine-setup failure panics with a [`SetupError`] message carrying
+/// the full cell coordinates, which the engine's `catch_unwind` surfaces
+/// verbatim in its quarantine report.
 pub fn run_trial_range(
-    spec: &BenchmarkSpec,
-    design: TlbDesign,
+    cell: &TrialCell,
     settings: &TrialSettings,
     range: std::ops::Range<u32>,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Measurement {
-    match try_run_trial_range(spec, design, settings, range, customize) {
-        Ok(m) => m,
-        // The panic message carries the full cell coordinates, so the
-        // fault-tolerant engine's catch_unwind surfaces them verbatim in
-        // its quarantine report.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_trial_range`]: machine-setup failures are propagated as
-/// a typed [`SetupError`] naming the cell instead of panicking.
-pub fn try_run_trial_range(
-    spec: &BenchmarkSpec,
-    design: TlbDesign,
-    settings: &TrialSettings,
-    range: std::ops::Range<u32>,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<Measurement, SetupError> {
-    let v = &spec.vulnerability;
+    let v = &cell.spec.vulnerability;
     let mut n_mapped_miss = 0;
     let mut n_not_mapped_miss = 0;
-    // The benchmark program depends only on (spec, placement), so it is
-    // generated once per shard instead of once per trial — the trial loop
-    // proper allocates nothing for the op sequence.
-    let mapped_program = generate_program(spec, Placement::Mapped);
-    let not_mapped_program = generate_program(spec, Placement::NotMapped);
     for t in range.clone() {
         // Cooperative cell-deadline preemption: unwinds with a typed
-        // payload the resilient engine reports as TIMEOUT. A no-op unless
-        // the engine armed this thread's flag. Sits between trials, so a
+        // payload the engine reports as TIMEOUT. A no-op unless the
+        // engine armed this thread's flag. Sits between trials, so a
         // preemption never splits a trial's batch mid-run.
         crate::supervisor::preempt_point();
         for (placement, program, counter) in [
-            (Placement::Mapped, &mapped_program, &mut n_mapped_miss),
+            (Placement::Mapped, &cell.mapped, &mut n_mapped_miss),
             (
                 Placement::NotMapped,
-                &not_mapped_program,
+                &cell.not_mapped,
                 &mut n_not_mapped_miss,
             ),
         ] {
-            let seed = derive_trial_seed(settings.base_seed, v, design, placement, t);
-            if run_trial(spec, design, placement, program, seed, settings, customize)? {
-                *counter += 1;
+            let seed = derive_trial_seed(settings.base_seed, v, cell.design, placement, t);
+            match run_trial(
+                &cell.spec,
+                cell.design,
+                placement,
+                program,
+                seed,
+                settings,
+                customize,
+            ) {
+                Ok(true) => *counter += 1,
+                Ok(false) => {}
+                Err(e) => panic!("{e}"),
             }
         }
     }
-    Ok(Measurement {
+    Measurement {
         trials: range.len() as u32,
         n_mapped_miss,
         n_not_mapped_miss,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -532,23 +527,6 @@ mod tests {
         let a = run_vulnerability(&v, TlbDesign::Rf, &s);
         let b = run_vulnerability(&v, TlbDesign::Rf, &s);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn worker_dispatch_matches_serial_bitwise() {
-        let v = row(Strategy::PrimeProbe, "A_a");
-        let serial = run_vulnerability(&v, TlbDesign::Rf, &settings());
-        for n in [1, 4] {
-            let s = TrialSettings {
-                workers: NonZeroUsize::new(n),
-                ..settings()
-            };
-            assert_eq!(
-                run_vulnerability(&v, TlbDesign::Rf, &s),
-                serial,
-                "workers={n}"
-            );
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The work-stealing shard scheduler.
 //!
-//! The engines in [`crate::parallel`] and [`crate::resilience`] used to
-//! hand out shards from a single atomic index: workers claimed tasks in
+//! The campaign engine ([`crate::resilience`]) used to hand out shards
+//! from a single atomic index: workers claimed tasks in
 //! strict queue order, so a worker stuck behind an expensive shard (an
 //! adaptive round's straggler cell, an injected stall, a preemption-bound
 //! retry loop) left the rest of the pool idle once the tail of the queue
@@ -27,16 +27,9 @@
 //! schedule — the property `tests/scheduler_determinism.rs` pins by
 //! forcing steals with injected stalls.
 //!
-//! # Reclamation
-//!
-//! [`StealQueues::push`] re-enqueues a task after the fact — the
-//! supervision layer in [`crate::resilience`] uses it to hand a dead
-//! worker's abandoned shard to a surviving worker, which re-executes it
-//! from the same coordinate-derived seeds and produces the same result.
-//!
 //! The queues are plain `Mutex<VecDeque<_>>`s rather than lock-free
 //! Chase-Lev deques: the crate forbids `unsafe`, shards are coarse
-//! (≈[`crate::parallel::TRIALS_PER_SHARD`] simulated trials each), and a
+//! (≈[`crate::resilience::TRIALS_PER_SHARD`] simulated trials each), and a
 //! handful of microsecond-scale lock acquisitions per shard is noise
 //! against milliseconds of simulation.
 
@@ -45,7 +38,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One granted claim: which task, and whether it was stolen from another
 /// worker's deque (steals are counted in
-/// [`crate::parallel::WorkerStats::stolen`]).
+/// [`crate::resilience::WorkerStats::stolen`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Claim {
     /// The claimed task index.
@@ -95,9 +88,8 @@ impl StealQueues {
 
     /// Claims a task for `worker`: its own deque first (LIFO), then the
     /// other deques in ring order starting at its right-hand neighbor
-    /// (FIFO steal). `None` means every deque was empty *at the time each
-    /// was inspected* — with [`StealQueues::push`] in play the caller
-    /// decides whether to retry.
+    /// (FIFO steal). `None` means every deque was empty, and — since
+    /// nothing is ever enqueued after seeding — stays empty.
     pub fn claim(&self, worker: usize) -> Option<Claim> {
         if let Some(task) = lock(&self.queues[worker]).pop_back() {
             return Some(Claim {
@@ -114,18 +106,6 @@ impl StealQueues {
         }
         None
     }
-
-    /// Re-enqueues `task` onto `worker`'s deque (at the owner's hot end,
-    /// so it runs next there — or gets stolen by whoever is idle). Used
-    /// by the supervision layer to reclaim a dead worker's shard.
-    pub fn push(&self, worker: usize, task: usize) {
-        lock(&self.queues[worker % self.queues.len()]).push_back(task);
-    }
-
-    /// Total tasks currently enqueued across all deques.
-    pub fn remaining(&self) -> usize {
-        self.queues.iter().map(|q| lock(q).len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +121,7 @@ mod tests {
         let q = StealQueues::seed(1, &indices(7));
         let order: Vec<usize> = std::iter::from_fn(|| q.claim(0)).map(|c| c.task).collect();
         assert_eq!(order, indices(7));
-        assert_eq!(q.remaining(), 0);
+        assert!(q.claim(0).is_none());
     }
 
     #[test]
@@ -194,18 +174,6 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, tasks, "each task claimed exactly once");
-    }
-
-    #[test]
-    fn pushed_tasks_are_claimable_again() {
-        let q = StealQueues::seed(2, &indices(2));
-        assert_eq!(q.claim(0).expect("own").task, 0);
-        assert_eq!(q.claim(1).expect("own").task, 1);
-        assert!(q.claim(0).is_none());
-        q.push(1, 0); // reclaim task 0 onto worker 1's deque
-        assert_eq!(q.remaining(), 1);
-        let claim = q.claim(0).expect("steals the reclaimed task");
-        assert_eq!((claim.task, claim.stolen), (0, true));
     }
 
     #[test]

@@ -49,10 +49,6 @@ pub enum StopReason {
     /// A SIGINT/SIGTERM (or an in-process [`trip_interrupt`]) requested a
     /// graceful shutdown.
     Interrupted,
-    /// This run's [`CancelFlag`] was tripped: the owner (e.g. `campaignd`
-    /// serving a `cancel` request) asked for this one run to stop, not
-    /// the whole process.
-    Cancelled,
 }
 
 impl std::fmt::Display for StopReason {
@@ -60,47 +56,9 @@ impl std::fmt::Display for StopReason {
         match self {
             StopReason::DeadlineExpired => write!(f, "wall-clock deadline expired"),
             StopReason::Interrupted => write!(f, "interrupted by signal"),
-            StopReason::Cancelled => write!(f, "cancelled by request"),
         }
     }
 }
-
-/// A per-run cancellation latch: the scoped sibling of the process-global
-/// signal latch. Tripping it stops exactly one engine run at its next
-/// claim boundary — in-flight shards drain and the checkpoint flushes,
-/// the same graceful-preemption path a SIGTERM drives — while every other
-/// run in the process keeps going. `campaignd` arms one per job so a
-/// `cancel <id>` request preempts that job alone.
-///
-/// Equality is identity (two flags are equal when they are the *same*
-/// latch), which keeps [`crate::resilience::RunPolicy`] `Eq`.
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, untripped flag.
-    pub fn new() -> CancelFlag {
-        CancelFlag::default()
-    }
-
-    /// Requests cancellation (idempotent, callable from any thread).
-    pub fn trip(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_tripped(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-impl PartialEq for CancelFlag {
-    fn eq(&self, other: &CancelFlag) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for CancelFlag {}
 
 /// The campaign's resource budget (the `--deadline` / `--cell-deadline-ms`
 /// flags). Plain data so [`crate::resilience::RunPolicy`] stays `Eq`.
@@ -129,7 +87,6 @@ pub struct Supervisor {
     started: Instant,
     consumed: Duration,
     budget: BudgetPolicy,
-    cancel: Option<CancelFlag>,
 }
 
 impl Supervisor {
@@ -144,34 +101,17 @@ impl Supervisor {
     /// `budget.deadline`. A `--deadline 60` campaign killed at 45 seconds
     /// resumes with 15 seconds left, not a fresh 60.
     pub fn with_consumed(budget: BudgetPolicy, consumed: Duration) -> Supervisor {
-        Supervisor::with_cancel(budget, consumed, None)
-    }
-
-    /// Like [`Supervisor::with_consumed`], additionally watching a
-    /// per-run [`CancelFlag`]: when the owner trips it, the run stops at
-    /// its next claim boundary with [`StopReason::Cancelled`].
-    pub fn with_cancel(
-        budget: BudgetPolicy,
-        consumed: Duration,
-        cancel: Option<CancelFlag>,
-    ) -> Supervisor {
         Supervisor {
             started: Instant::now(),
             consumed,
             budget,
-            cancel,
         }
     }
 
-    /// Whether the run should stop claiming new shards, and why.
-    /// A cancellation wins over everything — it makes this run terminal,
-    /// where a signal drain merely pauses it — and a latched signal wins
-    /// over a deadline expiry: it is the more urgent of the two and the
-    /// operator-visible one.
+    /// Whether the run should stop claiming new shards, and why. A
+    /// latched signal wins over a deadline expiry: it is the more urgent
+    /// of the two and the operator-visible one.
     pub fn should_stop(&self) -> Option<StopReason> {
-        if self.cancel.as_ref().is_some_and(CancelFlag::is_tripped) {
-            return Some(StopReason::Cancelled);
-        }
         if sectlb_signal::received() {
             return Some(StopReason::Interrupted);
         }
@@ -202,9 +142,9 @@ impl Supervisor {
 
 /// Installs the process-global SIGINT/SIGTERM handlers (idempotent).
 ///
-/// Drivers call this once the resilient engine is about to run; the
-/// legacy serial paths keep the default signal disposition, so plain
-/// invocations behave exactly as before.
+/// Drivers call this once before their campaign runs, so a signal
+/// drains through the same flush-checkpoint-render-partial path as a
+/// deadline expiry.
 pub fn install_signal_handlers() {
     sectlb_signal::install();
 }
@@ -330,30 +270,6 @@ mod tests {
         let s = Supervisor::new(BudgetPolicy::default());
         assert_eq!(s.should_stop(), None);
         assert!(!BudgetPolicy::default().is_active());
-    }
-
-    #[test]
-    fn cancel_flag_stops_only_its_own_run() {
-        let _latch = latch_guard();
-        reset_interrupt();
-        let flag = CancelFlag::new();
-        let cancellable =
-            Supervisor::with_cancel(BudgetPolicy::default(), Duration::ZERO, Some(flag.clone()));
-        let bystander = Supervisor::new(BudgetPolicy::default());
-        assert_eq!(cancellable.should_stop(), None);
-        flag.trip();
-        assert_eq!(cancellable.should_stop(), Some(StopReason::Cancelled));
-        // The other run in the same process is untouched — this is what
-        // distinguishes cancel from the process-global signal latch.
-        assert_eq!(bystander.should_stop(), None);
-        // Cancellation outranks a latched signal: it is the reason that
-        // makes the run terminal instead of merely paused.
-        trip_interrupt();
-        assert_eq!(cancellable.should_stop(), Some(StopReason::Cancelled));
-        reset_interrupt();
-        // Equality is identity, not value.
-        assert_eq!(flag, flag.clone());
-        assert_ne!(flag, CancelFlag::new());
     }
 
     #[test]

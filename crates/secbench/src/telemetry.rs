@@ -42,7 +42,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::parallel::PoolStats;
+use crate::resilience::PoolStats;
 
 /// Version of the event schema (the `"v"` field on every line). Bump on
 /// any change to the canonical serialization of any event.
@@ -212,22 +212,6 @@ pub enum Event {
         /// nanoseconds.
         wall_ns: u64,
     },
-    /// The supervision layer detected a dead worker holding a claimed
-    /// shard.
-    WorkerDead {
-        /// The dead worker's id.
-        worker: u64,
-        /// The shard it abandoned.
-        task: u64,
-    },
-    /// An abandoned shard was re-enqueued for deterministic re-execution
-    /// on a surviving worker.
-    WorkerReclaim {
-        /// The reclaimed task index.
-        task: u64,
-        /// Which reclamation attempt this is (1 = first death).
-        attempt: u64,
-    },
     /// End-of-run steal counter for one worker (emitted only when
     /// nonzero).
     StealSummary {
@@ -235,85 +219,6 @@ pub enum Event {
         worker: u64,
         /// Shards this worker stole from other workers' deques.
         stolen: u64,
-    },
-    /// The campaign service accepted a submitted job into its queue.
-    JobAccepted {
-        /// Server-assigned job id.
-        job: u64,
-        /// The encoded job spec.
-        spec: String,
-    },
-    /// A queued job began executing on the shared worker pool.
-    JobStarted {
-        /// Job id.
-        job: u64,
-    },
-    /// The service rejected a submission outright (backpressure).
-    JobRejected {
-        /// Job id the submission would have received.
-        job: u64,
-        /// Why (`"queue-full"`).
-        reason: String,
-    },
-    /// The service degraded a job instead of running it to completion
-    /// (load shedding, or a drain interrupted it).
-    JobDegraded {
-        /// Job id.
-        job: u64,
-        /// Why (`"shed"` / `"drained"`).
-        reason: String,
-    },
-    /// A job reached a terminal state.
-    JobCompleted {
-        /// Job id.
-        job: u64,
-        /// Terminal status word (`"done"` / `"failed"` / `"shed"` /
-        /// `"cancelled"`).
-        status: String,
-        /// Job wall-clock nanoseconds in this server process.
-        wall_ns: u64,
-    },
-    /// A client asked the service to cancel a job.
-    JobCancelled {
-        /// Job id.
-        job: u64,
-        /// Where the cancel landed: `"queued"` (dequeued before running)
-        /// or `"running"` (preempted at the engine's graceful-stop
-        /// boundary).
-        phase: String,
-    },
-    /// A restarted server made a recovery decision for one manifest
-    /// entry (the crash-recovery state machine, DESIGN.md §12).
-    JobRecovered {
-        /// Job id.
-        job: u64,
-        /// The startup action: `"requeued"` (non-terminal, will re-run
-        /// from its checkpoint) or the terminal state word restored from
-        /// the job's terminal marker (`"done"` / `"failed"` /
-        /// `"cancelled"` — finished before the crash, never re-run).
-        action: String,
-    },
-    /// A restarted server reaped orphaned temp files (`*.tmp.<pid>`
-    /// staging files abandoned by a `kill -9` mid-write).
-    TmpReaped {
-        /// How many orphans were removed.
-        count: u64,
-    },
-    /// A watch stream opened. `from` above zero means a reconnecting
-    /// client resuming after its last-seen transition — so wedged-stream
-    /// debugging can see every (re)connect in the event stream.
-    WatchConnect {
-        /// The watched job id.
-        job: u64,
-        /// The client's resume sequence number (0 = fresh watch).
-        from: u64,
-    },
-    /// One heartbeat frame was written to a watch stream. Emitted to the
-    /// events stream so a wedged or silent watch is visible in telemetry
-    /// rather than only on the socket.
-    HeartbeatSent {
-        /// The watched job id.
-        job: u64,
     },
 }
 
@@ -323,7 +228,6 @@ pub fn stop_reason_str(reason: crate::supervisor::StopReason) -> &'static str {
     match reason {
         crate::supervisor::StopReason::DeadlineExpired => "deadline",
         crate::supervisor::StopReason::Interrupted => "signal",
-        crate::supervisor::StopReason::Cancelled => "cancel",
     }
 }
 
@@ -743,72 +647,10 @@ impl Envelope {
                 b.str("label", label);
                 b.num("wall_ns", *wall_ns);
             }
-            Event::WorkerDead { worker, task } => {
-                b.str("event", "worker_dead");
-                b.num("worker", *worker);
-                b.num("task", *task);
-            }
-            Event::WorkerReclaim { task, attempt } => {
-                b.str("event", "worker_reclaim");
-                b.num("task", *task);
-                b.num("attempt", *attempt);
-            }
             Event::StealSummary { worker, stolen } => {
                 b.str("event", "steal_summary");
                 b.num("worker", *worker);
                 b.num("stolen", *stolen);
-            }
-            Event::JobAccepted { job, spec } => {
-                b.str("event", "job_accepted");
-                b.num("job", *job);
-                b.str("spec", spec);
-            }
-            Event::JobStarted { job } => {
-                b.str("event", "job_started");
-                b.num("job", *job);
-            }
-            Event::JobRejected { job, reason } => {
-                b.str("event", "job_rejected");
-                b.num("job", *job);
-                b.str("reason", reason);
-            }
-            Event::JobDegraded { job, reason } => {
-                b.str("event", "job_degraded");
-                b.num("job", *job);
-                b.str("reason", reason);
-            }
-            Event::JobCompleted {
-                job,
-                status,
-                wall_ns,
-            } => {
-                b.str("event", "job_completed");
-                b.num("job", *job);
-                b.str("status", status);
-                b.num("wall_ns", *wall_ns);
-            }
-            Event::JobCancelled { job, phase } => {
-                b.str("event", "job_cancelled");
-                b.num("job", *job);
-                b.str("phase", phase);
-            }
-            Event::JobRecovered { job, action } => {
-                b.str("event", "job_recovered");
-                b.num("job", *job);
-                b.str("action", action);
-            }
-            Event::TmpReaped { count } => {
-                b.str("event", "tmp_reaped");
-                b.num("count", *count);
-            }
-            Event::WatchConnect { job, from } => {
-                b.str("event", "watch_connect");
-                b.num("job", *job);
-                b.num("from", *from);
-            }
-            Event::HeartbeatSent { job } => {
-                b.str("event", "heartbeat_sent");
-                b.num("job", *job);
             }
         }
         b.finish()
@@ -980,93 +822,11 @@ impl Envelope {
                     wall_ns: num(&f, 6, "wall_ns")?,
                 }
             }
-            "worker_dead" => {
-                expect_len(5)?;
-                Event::WorkerDead {
-                    worker: num(&f, 3, "worker")?,
-                    task: num(&f, 4, "task")?,
-                }
-            }
-            "worker_reclaim" => {
-                expect_len(5)?;
-                Event::WorkerReclaim {
-                    task: num(&f, 3, "task")?,
-                    attempt: num(&f, 4, "attempt")?,
-                }
-            }
             "steal_summary" => {
                 expect_len(5)?;
                 Event::StealSummary {
                     worker: num(&f, 3, "worker")?,
                     stolen: num(&f, 4, "stolen")?,
-                }
-            }
-            "job_accepted" => {
-                expect_len(5)?;
-                Event::JobAccepted {
-                    job: num(&f, 3, "job")?,
-                    spec: str_field(&f, 4, "spec")?,
-                }
-            }
-            "job_started" => {
-                expect_len(4)?;
-                Event::JobStarted {
-                    job: num(&f, 3, "job")?,
-                }
-            }
-            "job_rejected" => {
-                expect_len(5)?;
-                Event::JobRejected {
-                    job: num(&f, 3, "job")?,
-                    reason: str_field(&f, 4, "reason")?,
-                }
-            }
-            "job_degraded" => {
-                expect_len(5)?;
-                Event::JobDegraded {
-                    job: num(&f, 3, "job")?,
-                    reason: str_field(&f, 4, "reason")?,
-                }
-            }
-            "job_completed" => {
-                expect_len(6)?;
-                Event::JobCompleted {
-                    job: num(&f, 3, "job")?,
-                    status: str_field(&f, 4, "status")?,
-                    wall_ns: num(&f, 5, "wall_ns")?,
-                }
-            }
-            "job_cancelled" => {
-                expect_len(5)?;
-                Event::JobCancelled {
-                    job: num(&f, 3, "job")?,
-                    phase: str_field(&f, 4, "phase")?,
-                }
-            }
-            "job_recovered" => {
-                expect_len(5)?;
-                Event::JobRecovered {
-                    job: num(&f, 3, "job")?,
-                    action: str_field(&f, 4, "action")?,
-                }
-            }
-            "tmp_reaped" => {
-                expect_len(4)?;
-                Event::TmpReaped {
-                    count: num(&f, 3, "count")?,
-                }
-            }
-            "watch_connect" => {
-                expect_len(5)?;
-                Event::WatchConnect {
-                    job: num(&f, 3, "job")?,
-                    from: num(&f, 4, "from")?,
-                }
-            }
-            "heartbeat_sent" => {
-                expect_len(4)?;
-                Event::HeartbeatSent {
-                    job: num(&f, 3, "job")?,
                 }
             }
             other => return Err(format!("unknown event type {other:?}")),
@@ -1237,7 +997,7 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 /// `BENCH_<driver>.json`).
 ///
 /// `stats` is the campaign's pool counters (`None` for invocations that
-/// never ran an engine, e.g. serial paths or `replay`); `latencies` are
+/// never ran a campaign, e.g. `replay`); `latencies` are
 /// the completed-shard wall times collected by the [`Telemetry`] handle.
 /// Throughput counts *trial pairs* per second — see
 /// [`PoolStats::throughput`] for the pinned definition.
@@ -1269,8 +1029,6 @@ pub fn render_metrics(
         skipped: 0,
         preempted: 0,
         trials_saved: 0,
-        deaths: 0,
-        reclaimed: 0,
     };
     let s = stats.unwrap_or(&zero);
     let workers = s.workers.len();
@@ -1311,17 +1069,15 @@ pub fn render_metrics(
     out.push_str("],\n");
     out.push_str(&format!(
         "  \"shards\": {{\"done\": {}, \"retried\": {}, \"stolen\": {}, \"quarantined\": {}, \
-         \"stalled\": {}, \"skipped\": {}, \"preempted\": {}, \"reclaimed\": {}}},\n",
+         \"stalled\": {}, \"skipped\": {}, \"preempted\": {}}},\n",
         s.shards(),
         s.retried(),
         s.stolen(),
         s.quarantined,
         s.stalled,
         s.skipped,
-        s.preempted,
-        s.reclaimed
+        s.preempted
     ));
-    out.push_str(&format!("  \"worker_deaths\": {},\n", s.deaths));
     out.push_str(&format!("  \"trial_pairs_saved\": {},\n", s.trials_saved));
     out.push_str(&format!(
         "  \"shard_latency_ns\": {{\"count\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \
@@ -1460,47 +1216,10 @@ mod tests {
                 label: "V2 on Rf TLB, trials 25..50".to_owned(),
                 wall_ns: 750_000_000,
             },
-            Event::WorkerDead {
-                worker: 1,
-                task: 12,
-            },
-            Event::WorkerReclaim {
-                task: 12,
-                attempt: 1,
-            },
             Event::StealSummary {
                 worker: 3,
                 stolen: 11,
             },
-            Event::JobAccepted {
-                job: 2,
-                spec: "driver=table4 trials=50 seed=1 priority=5 tag=nightly".to_owned(),
-            },
-            Event::JobStarted { job: 2 },
-            Event::JobRejected {
-                job: 9,
-                reason: "queue-full".to_owned(),
-            },
-            Event::JobDegraded {
-                job: 3,
-                reason: "shed".to_owned(),
-            },
-            Event::JobCompleted {
-                job: 2,
-                status: "done".to_owned(),
-                wall_ns: 2_500_000_000,
-            },
-            Event::JobCancelled {
-                job: 4,
-                phase: "running".to_owned(),
-            },
-            Event::JobRecovered {
-                job: 2,
-                action: "requeued".to_owned(),
-            },
-            Event::TmpReaped { count: 3 },
-            Event::WatchConnect { job: 2, from: 4 },
-            Event::HeartbeatSent { job: 2 },
         ];
         for (seq, event) in events.into_iter().enumerate() {
             let env = Envelope {
@@ -1564,7 +1283,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_is_well_formed() {
-        use crate::parallel::WorkerStats;
+        use crate::resilience::WorkerStats;
         use std::time::Duration;
         let stats = PoolStats {
             wall: Duration::from_millis(100),
@@ -1589,8 +1308,6 @@ mod tests {
             skipped: 2,
             preempted: 0,
             trials_saved: 25,
-            deaths: 1,
-            reclaimed: 1,
         };
         let json = render_metrics(
             "table4",
@@ -1617,8 +1334,7 @@ mod tests {
         // utilization: 100ms busy over 2 workers x 100ms wall = 0.5.
         assert!(json.contains("\"worker_utilization\": 0.500"), "{json}");
         assert!(json.contains("\"stolen\": 2"), "{json}");
-        assert!(json.contains("\"worker_deaths\": 1"), "{json}");
-        assert!(json.contains("\"reclaimed\": 1"), "{json}");
+        assert!(json.contains("\"quarantined\": 1"), "{json}");
         assert!(json.contains("{\"le_ns\": 2048, \"count\": 1}"), "{json}");
         // Well-formed enough for a strict brace balance.
         assert_eq!(

@@ -15,12 +15,13 @@ use std::time::Duration;
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_secbench::adaptive::{measure_cells_adaptive, AdaptivePolicy};
 use sectlb_secbench::checkpoint::Checkpoint;
-use sectlb_secbench::report::{build_table4_resilient, table4_cells, DEFENDED_THRESHOLD};
+use sectlb_secbench::report::{build_table4, table4_cells, DEFENDED_THRESHOLD};
 use sectlb_secbench::resilience::{
     measure_cells_resilient, run_sharded_resilient, CellGap, CellOutcome, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::supervisor::{BudgetPolicy, StopReason, EXIT_BUDGET};
+use sectlb_secbench::telemetry::Telemetry;
 use sectlb_secbench::CheckpointPolicy;
 use sectlb_sim::machine::TlbDesign;
 
@@ -49,6 +50,10 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+fn off() -> Telemetry {
+    Telemetry::disabled()
+}
+
 fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
     outcomes
         .iter()
@@ -75,9 +80,15 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("deadline-resume");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("uninterrupted campaign");
 
     // An already-expired deadline: the supervisor stops the claim loop
     // before any shard runs. This is a graceful stop, not an error.
@@ -86,6 +97,7 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
         &settings,
         workers(),
         &deadline_policy(Duration::ZERO, &path),
+        &off(),
         &|b| b,
     )
     .expect("budget stop is not an error");
@@ -107,8 +119,15 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let resumed = measure_cells_resilient(&cells, &settings, workers(), &resumed_policy, &|b| b)
-        .expect("resumed campaign completes");
+    let resumed = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &resumed_policy,
+        &off(),
+        &|b| b,
+    )
+    .expect("resumed campaign completes");
     assert_eq!(resumed.stop, None);
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
     std::fs::remove_file(&path).ok();
@@ -119,9 +138,15 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("mid-deadline");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("uninterrupted campaign");
 
     // A deadline that lands mid-campaign on most machines. How many
     // shards finish is timing-dependent; the invariant under test is
@@ -131,6 +156,7 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
         &settings,
         workers(),
         &deadline_policy(Duration::from_millis(10), &path),
+        &off(),
         &|b| b,
     )
     .expect("budget stop is not an error");
@@ -139,8 +165,15 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
         ..RunPolicy::default()
     };
     let resumed = if run.stop.is_some() {
-        measure_cells_resilient(&cells, &settings, workers(), &resumed_policy, &|b| b)
-            .expect("resumed campaign completes")
+        measure_cells_resilient(
+            &cells,
+            &settings,
+            workers(),
+            &resumed_policy,
+            &off(),
+            &|b| b,
+        )
+        .expect("resumed campaign completes")
     } else {
         run // the machine beat the deadline; the run is already complete
     };
@@ -161,7 +194,7 @@ fn budget_stopped_table4_renders_partial_markers_and_exits_budget_code() {
         },
         ..RunPolicy::default()
     };
-    let report = build_table4_resilient(&settings, workers(), &policy)
+    let report = build_table4(&TlbDesign::ALL, &settings, workers(), &policy, None, &off())
         .expect("budget stop still renders a report");
     assert_eq!(report.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(report.partial.len(), table4_cells().len());
@@ -202,6 +235,7 @@ fn resumed_campaigns_deduct_consumed_wall_clock_from_the_deadline() {
         &policy,
         fingerprint,
         &|&t| format!("task {t}"),
+        &off(),
         |&t| t * 2,
     )
     .expect("budget stop is not an error");
@@ -225,6 +259,7 @@ fn resumed_campaigns_deduct_consumed_wall_clock_from_the_deadline() {
         &unlimited,
         fingerprint,
         &|&t| format!("task {t}"),
+        &off(),
         |&t| t * 2,
     )
     .expect("unlimited resume completes");
@@ -251,6 +286,7 @@ fn interrupted_runs_checkpoint_their_consumed_wall_clock() {
         &settings,
         workers(),
         &deadline_policy(Duration::ZERO, &path),
+        &off(),
         &|b| b,
     )
     .expect("budget stop is not an error");
@@ -273,15 +309,22 @@ fn adaptive_verdicts_match_the_exhaustive_run_and_save_trials() {
         trials: 40,
         ..TrialSettings::default()
     };
-    let exhaustive =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("exhaustive campaign");
+    let exhaustive = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("exhaustive campaign");
     let adaptive = measure_cells_adaptive(
         &cells,
         &settings,
         workers(),
         &RunPolicy::default(),
         &AdaptivePolicy::default(),
+        &off(),
         &|b| b,
     )
     .expect("adaptive campaign");
@@ -322,6 +365,7 @@ fn adaptive_measurements_are_identical_for_every_worker_count() {
                 NonZeroUsize::new(w).expect("nonzero"),
                 &RunPolicy::default(),
                 &AdaptivePolicy::default(),
+                &off(),
                 &|b| b,
             )
             .expect("adaptive campaign");
@@ -349,6 +393,7 @@ fn adaptive_campaign_respects_the_outer_deadline() {
         workers(),
         &policy,
         &AdaptivePolicy::default(),
+        &off(),
         &|b| b,
     )
     .expect("budget stop is not an error");

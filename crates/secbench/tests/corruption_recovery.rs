@@ -1,6 +1,6 @@
 //! Property tests for checksummed storage under arbitrary corruption.
 //!
-//! The crash-consistency contract: a stored checkpoint or manifest that
+//! The crash-consistency contract: a stored checkpoint that
 //! has been truncated or bit-flipped at *any* offset must either load
 //! bitwise-identically (the damage missed the payload — e.g. hit a
 //! trailing newline the parser tolerates) or be *detected*, in which
@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use sectlb_secbench::checkpoint::{Checkpoint, RecoveredLoad};
 use sectlb_secbench::iofault::{self, IoInjector};
 use sectlb_secbench::run::Measurement;
-use sectlb_secbench::service::{decode_manifest_stored, encode_manifest, JobState, ManifestEntry};
 
 fn sample_checkpoint(settings_hash: u64, results: &[(u32, u32, u32)]) -> Checkpoint {
     let mut ck = Checkpoint::new(settings_hash, results.len().max(1));
@@ -83,46 +82,6 @@ proptest! {
                     &ck,
                     "a checkpoint that parses must be bitwise what was saved"
                 );
-            }
-        }
-    }
-
-    /// Same contract for the campaignd manifest.
-    #[test]
-    fn corrupted_manifests_never_decode_to_garbage(
-        next_id in 1u64..=1000,
-        states in proptest::collection::vec(0u8..=5, 0..8),
-        offset in any::<usize>(),
-        bit in any::<u8>(),
-        truncate in any::<bool>(),
-    ) {
-        let entries: Vec<ManifestEntry> = states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let state = match s {
-                    0 => JobState::Queued,
-                    1 => JobState::Running,
-                    2 => JobState::Done,
-                    3 => JobState::Shed,
-                    4 => JobState::Cancelled,
-                    _ => JobState::Failed,
-                };
-                ManifestEntry {
-                    id: i as u64,
-                    state,
-                    seq: i as u64 + 1,
-                    exit: state.is_terminal().then_some(i as i32 % 3),
-                    spec: Default::default(),
-                }
-            })
-            .collect();
-        let stored = iofault::seal(&encode_manifest(next_id, &entries));
-        let damaged = corrupt(&stored, offset, bit, truncate);
-        if let Ok(text) = std::str::from_utf8(&damaged) {
-            if let Ok((got_next, got_entries)) = decode_manifest_stored(text) {
-                prop_assert_eq!(got_next, next_id);
-                prop_assert_eq!(got_entries, entries);
             }
         }
     }

@@ -10,12 +10,12 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
-use sectlb_secbench::parallel::measure_cells;
-use sectlb_secbench::report::{build_table4_resilient, build_table4_with_stats};
+use sectlb_secbench::report::{build_table4, CampaignReport};
 use sectlb_secbench::resilience::{
     measure_cells_resilient, CampaignError, CellOutcome, FaultPlan, RunPolicy,
 };
-use sectlb_secbench::run::{Measurement, TrialSettings};
+use sectlb_secbench::run::{run_vulnerability, Measurement, TrialSettings};
+use sectlb_secbench::telemetry::Telemetry;
 use sectlb_secbench::CheckpointPolicy;
 use sectlb_sim::machine::TlbDesign;
 
@@ -44,6 +44,15 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+fn off() -> Telemetry {
+    Telemetry::disabled()
+}
+
+fn table4(settings: &TrialSettings, workers: NonZeroUsize, policy: &RunPolicy) -> CampaignReport {
+    build_table4(&TlbDesign::ALL, settings, workers, policy, None, &off())
+        .expect("campaign completes")
+}
+
 fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
     outcomes
         .iter()
@@ -52,13 +61,22 @@ fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
 }
 
 #[test]
-fn resilient_engine_matches_the_plain_engine_bitwise() {
+fn resilient_engine_matches_the_reference_loop_bitwise() {
     let cells = cells();
     let settings = settings();
-    let (plain, _) = measure_cells(&cells, &settings, workers(), &|b| b);
-    let resilient =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("clean campaign");
+    let plain: Vec<Measurement> = cells
+        .iter()
+        .map(|(v, d)| run_vulnerability(v, *d, &settings))
+        .collect();
+    let resilient = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("clean campaign");
     assert_eq!(measurements(&resilient.cells), plain);
     assert_eq!(resilient.stats.quarantined, 0);
     assert_eq!(resilient.resumed, 0);
@@ -69,9 +87,15 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("kill-resume");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("uninterrupted campaign");
 
     // Deterministic "kill -9": halt after 5 completed shards, with the
     // checkpoint keeping progress crash-safe.
@@ -83,7 +107,7 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
         stop_after: Some(5),
         ..RunPolicy::default()
     };
-    let err = measure_cells_resilient(&cells, &settings, workers(), &killed, &|b| b)
+    let err = measure_cells_resilient(&cells, &settings, workers(), &killed, &off(), &|b| b)
         .expect_err("interrupted");
     match &err {
         CampaignError::Interrupted {
@@ -105,8 +129,15 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let resumed = measure_cells_resilient(&cells, &settings, workers(), &resumed_policy, &|b| b)
-        .expect("resumed campaign completes");
+    let resumed = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &resumed_policy,
+        &off(),
+        &|b| b,
+    )
+    .expect("resumed campaign completes");
     assert!(resumed.resumed >= 5, "checkpointed shards were skipped");
     assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
     std::fs::remove_file(&path).ok();
@@ -117,9 +148,15 @@ fn repeated_kills_then_resume_still_converge() {
     let cells = cells();
     let settings = settings();
     let path = tmp_path("double-kill");
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("uninterrupted campaign");
+    let reference = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("uninterrupted campaign");
 
     // Two successive kills, each resuming the previous checkpoint; a
     // different worker count per phase, which must not matter.
@@ -135,7 +172,7 @@ fn repeated_kills_then_resume_still_converge() {
             ..RunPolicy::default()
         };
         let w = NonZeroUsize::new(phase_workers).expect("nonzero");
-        measure_cells_resilient(&cells, &settings, w, &policy, &|b| b)
+        measure_cells_resilient(&cells, &settings, w, &policy, &off(), &|b| b)
             .expect_err("phase interrupted");
         resume = Some(path.clone());
     }
@@ -143,8 +180,9 @@ fn repeated_kills_then_resume_still_converge() {
         resume: resume.clone(),
         ..RunPolicy::default()
     };
-    let finished = measure_cells_resilient(&cells, &settings, workers(), &final_policy, &|b| b)
-        .expect("final phase completes");
+    let finished =
+        measure_cells_resilient(&cells, &settings, workers(), &final_policy, &off(), &|b| b)
+            .expect("final phase completes");
     assert!(finished.resumed >= 3);
     assert_eq!(
         measurements(&finished.cells),
@@ -163,7 +201,7 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
         stop_after: Some(2),
         ..RunPolicy::default()
     };
-    measure_cells_resilient(&cells, &settings, workers(), &killed, &|b| b)
+    measure_cells_resilient(&cells, &settings, workers(), &killed, &off(), &|b| b)
         .expect_err("interrupted");
 
     // Same cells, different base seed: the fingerprint must not match.
@@ -175,7 +213,7 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let err = measure_cells_resilient(&cells, &other_settings, workers(), &resume, &|b| b)
+    let err = measure_cells_resilient(&cells, &other_settings, workers(), &resume, &off(), &|b| b)
         .expect_err("stale checkpoint rejected");
     assert!(matches!(&err, CampaignError::Checkpoint(_)), "got {err:?}");
     assert_eq!(err.exit_code(), 2);
@@ -186,9 +224,15 @@ fn resuming_a_checkpoint_from_different_settings_is_rejected() {
 fn injected_transient_panics_converge_after_retry() {
     let cells = cells();
     let settings = settings();
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("clean campaign");
+    let reference = measure_cells_resilient(
+        &cells,
+        &settings,
+        workers(),
+        &RunPolicy::default(),
+        &off(),
+        &|b| b,
+    )
+    .expect("clean campaign");
     let faulty = RunPolicy {
         faults: Some(FaultPlan {
             panic_per_mille: 400,
@@ -198,7 +242,7 @@ fn injected_transient_panics_converge_after_retry() {
         max_retries: 3,
         ..RunPolicy::default()
     };
-    let run = measure_cells_resilient(&cells, &settings, workers(), &faulty, &|b| b)
+    let run = measure_cells_resilient(&cells, &settings, workers(), &faulty, &off(), &|b| b)
         .expect("faulty campaign converges");
     assert!(run.stats.retried() > 0, "faults were actually injected");
     assert_eq!(run.stats.quarantined, 0, "retries absorbed every fault");
@@ -222,7 +266,7 @@ fn permanent_faults_quarantine_cells_and_never_silently_drop_one() {
         max_retries: 1,
         ..RunPolicy::default()
     };
-    let run = measure_cells_resilient(&cells, &settings, workers(), &policy, &|b| b)
+    let run = measure_cells_resilient(&cells, &settings, workers(), &policy, &off(), &|b| b)
         .expect("campaign completes despite permanent faults");
     // Every input cell is accounted for — measured or explicitly
     // quarantined with coordinates; quarantine is never a silent gap.
@@ -254,53 +298,18 @@ fn permanent_faults_quarantine_cells_and_never_silently_drop_one() {
 }
 
 #[test]
-fn a_killed_worker_is_detected_and_its_shard_reclaimed_bitwise_identically() {
-    let cells = cells();
-    let settings = settings();
-    let reference =
-        measure_cells_resilient(&cells, &settings, workers(), &RunPolicy::default(), &|b| b)
-            .expect("undisturbed campaign");
-
-    // Worker 1's claim loop dies right after claiming its third shard
-    // (`--inject-worker-death 1:2`): the shard is claimed but never
-    // delivered. The supervision monitor must notice the death, reclaim
-    // the abandoned shard onto a survivor's deque, and finish with output
-    // bitwise identical to the undisturbed run.
-    let policy = RunPolicy {
-        faults: Some(FaultPlan {
-            worker_death: Some((1, 2)),
-            ..FaultPlan::default()
-        }),
-        ..RunPolicy::default()
-    };
-    let run = measure_cells_resilient(&cells, &settings, workers(), &policy, &|b| b)
-        .expect("campaign completes despite the dead worker");
-    assert_eq!(run.stats.deaths, 1, "exactly one worker died");
-    assert_eq!(run.stats.reclaimed, 1, "its abandoned shard was reclaimed");
-    assert_eq!(run.stats.quarantined, 0, "reclamation is not quarantine");
-    assert!(
-        run.stats.render().contains("supervision: 1 workers died"),
-        "{}",
-        run.stats.render()
-    );
-    assert_eq!(measurements(&run.cells), measurements(&reference.cells));
-}
-
-#[test]
-fn build_table4_resilient_matches_the_plain_table() {
+fn build_table4_matches_across_worker_counts() {
     let settings = TrialSettings {
         trials: 6,
-        workers: Some(workers()),
         ..TrialSettings::default()
     };
-    let (plain, _) = build_table4_with_stats(&settings);
-    let report = build_table4_resilient(&settings, workers(), &RunPolicy::default())
-        .expect("clean campaign");
-    assert_eq!(report.table, plain);
+    let plain = table4(&settings, NonZeroUsize::MIN, &RunPolicy::default());
+    let report = table4(&settings, workers(), &RunPolicy::default());
+    assert_eq!(report.table, plain.table);
     assert!(report.quarantined.is_empty());
     assert_eq!(report.exit_code(), 0);
     // A clean table renders byte-identically through the masked path.
-    assert_eq!(report.table.render(), plain.render());
+    assert_eq!(report.render(), plain.table.render());
 }
 
 #[test]
@@ -317,7 +326,7 @@ fn quarantined_cells_render_as_quarantined_not_as_numbers() {
         max_retries: 0,
         ..RunPolicy::default()
     };
-    let report = build_table4_resilient(&settings, workers(), &policy).expect("campaign completes");
+    let report = table4(&settings, workers(), &policy);
     assert!(
         !report.quarantined.is_empty(),
         "a 6% fatal rate over 72 shards should quarantine something"

@@ -1,4 +1,4 @@
-//! Property tests for the parallel trial engine's algebra.
+//! Property tests for the campaign engine's algebra.
 //!
 //! Two facts make the engine deterministic: a shard is a pure function of
 //! its trial-index range (seeds never depend on the sharding), and the
@@ -10,8 +10,7 @@
 use proptest::prelude::*;
 use sectlb_model::enumerate_vulnerabilities;
 use sectlb_secbench::binary_channel_capacity;
-use sectlb_secbench::run::{run_trial_range, Measurement, TrialSettings};
-use sectlb_secbench::spec::BenchmarkSpec;
+use sectlb_secbench::run::{run_trial_range, Measurement, TrialCell, TrialSettings};
 use sectlb_sim::machine::TlbDesign;
 
 /// Trials per placement in the shard-split property; small because every
@@ -33,8 +32,8 @@ proptest! {
             trials: TOTAL,
             ..TrialSettings::default()
         };
-        let spec = BenchmarkSpec::build_with_config(&vulnerability, design, settings.config);
-        let whole = run_trial_range(&spec, design, &settings, 0..TOTAL, &|b| b);
+        let cell = TrialCell::new(&vulnerability, design, settings.config);
+        let whole = run_trial_range(&cell, &settings, 0..TOTAL, &|b| b);
 
         let mut bounds = cuts.clone();
         bounds.push(0);
@@ -42,7 +41,7 @@ proptest! {
         bounds.sort_unstable();
         let merged = bounds
             .windows(2)
-            .map(|w| run_trial_range(&spec, design, &settings, w[0]..w[1], &|b| b))
+            .map(|w| run_trial_range(&cell, &settings, w[0]..w[1], &|b| b))
             .fold(Measurement::ZERO, Measurement::merge);
 
         prop_assert_eq!(merged, whole, "split at {:?}", bounds);

@@ -13,7 +13,7 @@ use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use sectlb_secbench::resilience::{run_sharded_resilient_observed, RunPolicy};
+use sectlb_secbench::resilience::{run_sharded_resilient, RunPolicy};
 use sectlb_secbench::telemetry::{Envelope, Event, Telemetry};
 
 /// A `Write` sink the test can read back after the engine is done.
@@ -50,7 +50,7 @@ fn single_worker_run_emits_the_golden_event_stream() {
     let buf = SharedBuf::default();
     let telemetry = Telemetry::armed("golden", Some(Box::new(buf.clone())));
     let tasks = [5u64, 6, 7];
-    let run = run_sharded_resilient_observed(
+    let run = run_sharded_resilient(
         &tasks,
         NonZeroUsize::MIN,
         &RunPolicy::default(),
@@ -166,23 +166,15 @@ fn arb_event() -> impl Strategy<Value = Event> {
             label,
             wall_ns,
         }),
-        (n, n).prop_map(|(worker, task)| Event::WorkerDead { worker, task }),
-        (n, n).prop_map(|(task, attempt)| Event::WorkerReclaim { task, attempt }),
         (n, n).prop_map(|(worker, stolen)| Event::StealSummary { worker, stolen }),
-        (n, s.clone()).prop_map(|(job, spec)| Event::JobAccepted { job, spec }),
-        n.prop_map(|job| Event::JobStarted { job }),
-        (n, s.clone()).prop_map(|(job, reason)| Event::JobRejected { job, reason }),
-        (n, s.clone()).prop_map(|(job, reason)| Event::JobDegraded { job, reason }),
-        (n, s.clone(), n).prop_map(|(job, status, wall_ns)| Event::JobCompleted {
-            job,
-            status,
-            wall_ns,
+        (s.clone(), s.clone(), s.clone()).prop_map(|(path, source, error)| {
+            Event::CheckpointRecovered {
+                path,
+                source,
+                error,
+            }
         }),
-        (n, s.clone()).prop_map(|(job, phase)| Event::JobCancelled { job, phase }),
-        (n, s).prop_map(|(job, action)| Event::JobRecovered { job, action }),
-        n.prop_map(|count| Event::TmpReaped { count }),
-        (n, n).prop_map(|(job, from)| Event::WatchConnect { job, from }),
-        n.prop_map(|job| Event::HeartbeatSent { job }),
+        (s.clone(), s).prop_map(|(path, error)| Event::CheckpointWriteFailed { path, error }),
     ]
 }
 

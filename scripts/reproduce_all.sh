@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure, and extension study of the Secure TLBs
-# reproduction into results/. Takes ~10 minutes (fig7 dominates).
+# reproduction into results/. Takes about 3 minutes on a 2-core host
+# (fig7 is about 189 s of a roughly 191 s run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

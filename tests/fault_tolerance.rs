@@ -12,9 +12,11 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use secure_tlbs::secbench::checkpoint::CheckpointPolicy;
-use secure_tlbs::secbench::report::{build_table4_resilient, build_table4_with_stats};
+use secure_tlbs::secbench::report::{build_table4, CampaignReport};
 use secure_tlbs::secbench::resilience::{CampaignError, FaultPlan, RunPolicy};
-use secure_tlbs::secbench::run::TrialSettings;
+use secure_tlbs::secbench::run::{run_vulnerability, TrialSettings};
+use secure_tlbs::secbench::telemetry::Telemetry;
+use secure_tlbs::sim::machine::TlbDesign;
 
 const TRIALS: u32 = 8;
 
@@ -29,6 +31,22 @@ fn workers() -> NonZeroUsize {
     NonZeroUsize::new(4).expect("nonzero")
 }
 
+/// The classic Table 4 campaign on the engine.
+fn table4_campaign(
+    settings: &TrialSettings,
+    workers: NonZeroUsize,
+    policy: &RunPolicy,
+) -> Result<CampaignReport, CampaignError> {
+    build_table4(
+        &TlbDesign::ALL,
+        settings,
+        workers,
+        policy,
+        None,
+        &Telemetry::disabled(),
+    )
+}
+
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("sectlb-ft-{}-{name}", std::process::id()));
@@ -38,7 +56,7 @@ fn tmp_path(name: &str) -> PathBuf {
 #[test]
 fn killed_and_resumed_table4_is_bitwise_identical() {
     let path = tmp_path("table4-kill-resume");
-    let reference = build_table4_resilient(&settings(), workers(), &RunPolicy::default())
+    let reference = table4_campaign(&settings(), workers(), &RunPolicy::default())
         .expect("uninterrupted campaign");
     assert!(reference.quarantined.is_empty());
 
@@ -51,8 +69,7 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
         stop_after: Some(20),
         ..RunPolicy::default()
     };
-    let err =
-        build_table4_resilient(&settings(), workers(), &killed).expect_err("campaign interrupted");
+    let err = table4_campaign(&settings(), workers(), &killed).expect_err("campaign interrupted");
     assert!(matches!(err, CampaignError::Interrupted { .. }), "{err:?}");
     assert_eq!(err.exit_code(), 3);
     assert!(path.exists(), "final checkpoint written on interruption");
@@ -63,7 +80,7 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
         resume: Some(path.clone()),
         ..RunPolicy::default()
     };
-    let resumed = build_table4_resilient(
+    let resumed = table4_campaign(
         &settings(),
         NonZeroUsize::new(2).expect("nz"),
         &resumed_policy,
@@ -79,19 +96,27 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The serial reference — the plain single-cell loop behind
+/// [`run_vulnerability`] — and the engine agree on every cell.
 #[test]
 fn serial_legacy_path_and_resilient_engine_agree() {
-    let (plain, _) = build_table4_with_stats(&settings());
-    let resilient = build_table4_resilient(&settings(), workers(), &RunPolicy::default())
+    let resilient =
+        table4_campaign(&settings(), workers(), &RunPolicy::default()).expect("clean campaign");
+    for row in &resilient.table.rows {
+        for (cell, design) in row.cells.iter().zip(TlbDesign::ALL) {
+            let plain = run_vulnerability(&row.vulnerability, design, &settings());
+            assert_eq!(cell.measured, plain, "{} on {design}", row.vulnerability);
+        }
+    }
+    let one = table4_campaign(&settings(), NonZeroUsize::MIN, &RunPolicy::default())
         .expect("clean campaign");
-    assert_eq!(resilient.table, plain);
-    assert_eq!(resilient.table.render(), plain.render());
+    assert_eq!(resilient.table.render(), one.table.render());
 }
 
 #[test]
 fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
-    let reference = build_table4_resilient(&settings(), workers(), &RunPolicy::default())
-        .expect("clean campaign");
+    let reference =
+        table4_campaign(&settings(), workers(), &RunPolicy::default()).expect("clean campaign");
 
     // Transient faults within the retry budget: must converge bitwise.
     let transient = RunPolicy {
@@ -103,8 +128,8 @@ fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
         max_retries: 2,
         ..RunPolicy::default()
     };
-    let report = build_table4_resilient(&settings(), workers(), &transient)
-        .expect("transient faults converge");
+    let report =
+        table4_campaign(&settings(), workers(), &transient).expect("transient faults converge");
     assert!(report.stats.retried() > 0, "faults were injected");
     assert!(report.quarantined.is_empty(), "all faults were absorbed");
     assert_eq!(report.table, reference.table);
@@ -120,7 +145,7 @@ fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
         max_retries: 1,
         ..RunPolicy::default()
     };
-    let degraded = build_table4_resilient(&settings(), workers(), &fatal)
+    let degraded = table4_campaign(&settings(), workers(), &fatal)
         .expect("fatal faults quarantine instead of aborting");
     assert!(
         !degraded.quarantined.is_empty(),

@@ -1,24 +1,39 @@
-//! Serial-vs-parallel equivalence of the Table 4 security campaign.
+//! Worker-count equivalence of the Table 4 security campaign.
 //!
-//! The acceptance contract of the parallel trial engine: running the full
-//! campaign with `workers = 1`, `workers = 4`, or the legacy serial path
-//! (`workers = None`) produces field-for-field identical tables, because
-//! every trial's RFE seed is a pure function of its coordinates and the
-//! shard merge is a plain sum.
+//! The acceptance contract of the campaign engine: running the full
+//! campaign with `workers = 1` or `workers = 4` produces field-for-field
+//! identical tables, and every cell equals the plain single-cell
+//! reference loop ([`run_vulnerability`]), because every trial's RFE seed
+//! is a pure function of its coordinates and the shard merge is a plain
+//! sum.
 
 use std::num::NonZeroUsize;
 
-use secure_tlbs::secbench::report::{build_table4_with_stats, Table4};
-use secure_tlbs::secbench::run::TrialSettings;
+use secure_tlbs::secbench::report::{build_table4, CampaignReport, Table4};
+use secure_tlbs::secbench::resilience::RunPolicy;
+use secure_tlbs::secbench::run::{run_vulnerability, TrialSettings};
+use secure_tlbs::secbench::telemetry::Telemetry;
+use secure_tlbs::sim::machine::TlbDesign;
 
 const TRIALS: u32 = 50;
 
-fn settings(workers: Option<usize>) -> TrialSettings {
+fn settings() -> TrialSettings {
     TrialSettings {
         trials: TRIALS,
-        workers: workers.and_then(NonZeroUsize::new),
         ..TrialSettings::default()
     }
+}
+
+fn campaign(workers: usize) -> CampaignReport {
+    build_table4(
+        &TlbDesign::ALL,
+        &settings(),
+        NonZeroUsize::new(workers).expect("nonzero"),
+        &RunPolicy::default(),
+        None,
+        &Telemetry::disabled(),
+    )
+    .expect("clean campaign")
 }
 
 fn assert_identical(parallel: &Table4, serial: &Table4, workers: usize) {
@@ -45,13 +60,22 @@ fn assert_identical(parallel: &Table4, serial: &Table4, workers: usize) {
 
 #[test]
 fn table4_is_bitwise_identical_across_worker_counts() {
-    let (reference, no_stats) = build_table4_with_stats(&settings(None));
-    assert!(no_stats.is_none(), "serial path reports no pool stats");
+    let reference = campaign(1).table;
     assert_eq!(reference.rows.len(), 24);
+    for row in &reference.rows {
+        for (cell, design) in row.cells.iter().zip(TlbDesign::ALL) {
+            assert_eq!(
+                cell.measured,
+                run_vulnerability(&row.vulnerability, design, &settings()),
+                "{} on {design} differs from the reference loop",
+                row.vulnerability
+            );
+        }
+    }
     for workers in [1usize, 4] {
-        let (table, stats) = build_table4_with_stats(&settings(Some(workers)));
-        assert_identical(&table, &reference, workers);
-        let stats = stats.expect("parallel path reports pool stats");
+        let report = campaign(workers);
+        assert_identical(&report.table, &reference, workers);
+        let stats = report.stats;
         assert_eq!(
             stats.trials(),
             u64::from(TRIALS) * 24 * 3,

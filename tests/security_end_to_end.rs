@@ -2,8 +2,10 @@
 //! matrix and the TLBleed attack outcome must match the paper.
 
 use secure_tlbs::model::enumerate_vulnerabilities;
-use secure_tlbs::secbench::report::{build_table4, DEFENDED_THRESHOLD};
+use secure_tlbs::secbench::report::{build_table4, Table4, DEFENDED_THRESHOLD};
+use secure_tlbs::secbench::resilience::RunPolicy;
 use secure_tlbs::secbench::run::{run_vulnerability, TrialSettings};
+use secure_tlbs::secbench::telemetry::Telemetry;
 use secure_tlbs::sim::machine::TlbDesign;
 use secure_tlbs::workloads::attack::{prime_probe_attack, AttackSettings};
 use secure_tlbs::workloads::rsa::RsaKey;
@@ -15,12 +17,25 @@ fn settings(trials: u32) -> TrialSettings {
     }
 }
 
+fn table4(trials: u32) -> Table4 {
+    build_table4(
+        &TlbDesign::ALL,
+        &settings(trials),
+        std::num::NonZeroUsize::MIN,
+        &RunPolicy::default(),
+        None,
+        &Telemetry::disabled(),
+    )
+    .expect("clean campaign")
+    .table
+}
+
 #[test]
 fn defense_counts_match_the_paper() {
     // Paper Section 5.3.2: SA defends 10, SP defends 14, RF defends all 24.
     // 30 trials is too noisy: C* of an equal-p cell scales like 1/n
     // and can cross the 0.05 threshold by chance. 60 keeps it safely low.
-    let table = build_table4(&settings(60));
+    let table = table4(60);
     assert_eq!(table.defended_counts(), vec![10, 14, 24]);
     assert!(table.all_verdicts_match());
 }
@@ -53,7 +68,7 @@ fn rf_probabilities_track_paper_magnitudes() {
 
 #[test]
 fn sp_dominates_sa_and_rf_dominates_sp_in_defenses() {
-    let table = build_table4(&settings(60));
+    let table = table4(60);
     for row in &table.rows {
         let [sa, sp, rf] = &row.cells[..] else {
             panic!("classic table has three columns");
