@@ -3,7 +3,7 @@
 //! co-running with the four SPEC-like benchmarks, at 50 / 100 / 150
 //! decryptions.
 //!
-//! Usage: `fig7 [--design sa|sp|rf] [--quick] [--workers N|auto]
+//! Usage: `fig7 [--design sa|sp|rf|fs|ft|ms] [--quick] [--workers N|auto]
 //! [--checkpoint PATH] [--resume PATH] [--retries N] [--kill-after N]
 //! [--inject-* ...] [--events PATH] [--metrics PATH]`
 //!
@@ -32,19 +32,8 @@ fn main() {
     let policy = cli::campaign_flags(&args);
     cli::reject_adaptive(&args, "fig7");
     let oracle_cfg = cli::oracle_flags(&args, &policy, "fig7");
-    let designs: Vec<TlbDesign> = match args
-        .iter()
-        .position(|a| a == "--design")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some(name) => match TlbDesign::from_name(&name.to_ascii_uppercase()) {
-            Some(d) => vec![d],
-            None => {
-                eprintln!("unknown design {name}; use sa, sp, rf, fs, ft, or ms");
-                std::process::exit(2);
-            }
-        },
+    let designs: Vec<TlbDesign> = match cli::design_flag(&args) {
+        Some(d) => vec![d],
         None => TlbDesign::ALL.to_vec(),
     };
     let all_configs = TlbConfig::paper_performance_configs();

@@ -346,6 +346,21 @@ pub fn parse_adaptive(args: &[String]) -> Result<Option<AdaptivePolicy>, String>
     Ok(Some(AdaptivePolicy { alpha }))
 }
 
+/// Looks up a design by its case-insensitive short name for `flag`,
+/// naming every known design when `word` is not one of them.
+fn design_named(flag: &str, word: &str) -> Result<TlbDesign, String> {
+    TlbDesign::from_name(&word.trim().to_ascii_uppercase()).ok_or_else(|| {
+        let known: Vec<String> = TlbDesign::EXTENDED
+            .iter()
+            .map(|d| d.name().to_ascii_lowercase())
+            .collect();
+        format!(
+            "{flag}: unknown design {word:?} (known: {})",
+            known.join(", ")
+        )
+    })
+}
+
 /// Parses `--designs sa,sp,rf,fs,ft,ms` into a design-column list;
 /// `Ok(None)` when absent (drivers keep the classic SA/SP/RF columns).
 ///
@@ -357,24 +372,22 @@ pub fn parse_designs(args: &[String]) -> Result<Option<Vec<TlbDesign>>, String> 
     };
     let mut designs = Vec::new();
     for word in spec.split(',') {
-        match TlbDesign::from_name(&word.trim().to_ascii_uppercase()) {
-            Some(d) if designs.contains(&d) => {
-                return Err(format!("--designs lists {d} more than once"))
-            }
-            Some(d) => designs.push(d),
-            None => {
-                let known: Vec<String> = TlbDesign::EXTENDED
-                    .iter()
-                    .map(|d| d.name().to_ascii_lowercase())
-                    .collect();
-                return Err(format!(
-                    "--designs: unknown design {word:?} (known: {})",
-                    known.join(", ")
-                ));
-            }
+        let d = design_named("--designs", word)?;
+        if designs.contains(&d) {
+            return Err(format!("--designs lists {d} more than once"));
         }
+        designs.push(d);
     }
     Ok(Some(designs))
+}
+
+/// Parses `--design NAME` (one design, case-insensitive); `Ok(None)`
+/// when absent. A missing or unknown name is an error, never a silent
+/// fall-back to every design.
+pub fn parse_design(args: &[String]) -> Result<Option<TlbDesign>, String> {
+    flag_value(args, "--design")?
+        .map(|word| design_named("--design", word))
+        .transpose()
 }
 
 /// Parses `--events PATH` (JSONL event-stream sink); `Ok(None)` when
@@ -423,6 +436,11 @@ pub fn adaptive_flags(args: &[String]) -> Option<AdaptivePolicy> {
 /// [`parse_designs`], exiting 2 with the error on a malformed value.
 pub fn designs_flag(args: &[String]) -> Option<Vec<TlbDesign>> {
     parse_designs(args).unwrap_or_else(|e| exit_usage(e))
+}
+
+/// [`parse_design`], exiting 2 with the error on a malformed value.
+pub fn design_flag(args: &[String]) -> Option<TlbDesign> {
+    parse_design(args).unwrap_or_else(|e| exit_usage(e))
 }
 
 /// [`parse_events`], exiting 2 with the error on a malformed value.
@@ -715,6 +733,19 @@ mod tests {
         let err = parse_designs(&args(&["prog", "--designs", "rf,rf"])).expect_err("rejected");
         assert!(err.contains("more than once"), "{err}");
         assert!(parse_designs(&args(&["prog", "--designs"])).is_err());
+    }
+
+    #[test]
+    fn design_flag_needs_a_known_value() {
+        assert_eq!(parse_design(&args(&["prog", "--quick"])), Ok(None));
+        assert_eq!(
+            parse_design(&args(&["prog", "--design", "Rf"])),
+            Ok(Some(TlbDesign::Rf))
+        );
+        let err = parse_design(&args(&["prog", "--design"])).expect_err("rejected");
+        assert_eq!(err, "--design needs a value");
+        let err = parse_design(&args(&["prog", "--design", "xx"])).expect_err("rejected");
+        assert!(err.contains("--design: unknown design \"xx\""), "{err}");
     }
 
     #[test]

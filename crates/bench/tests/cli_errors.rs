@@ -172,3 +172,24 @@ fn drivers_without_adaptive_verdicts_reject_the_flag() {
         );
     }
 }
+
+#[test]
+fn fig7_design_needs_a_known_value() {
+    let out = run(env!("CARGO_BIN_EXE_fig7"), &["--quick", "--design"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--design needs a value"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "no panels before the error");
+
+    let out = run(env!("CARGO_BIN_EXE_fig7"), &["--quick", "--design", "xx"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--design: unknown design \"xx\""),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "no panels before the error");
+}

@@ -493,6 +493,7 @@ fn merge_round_stats(total: &mut PoolStats, round: &PoolStats) {
             let slot = &mut total.workers[w];
             slot.shards += stats.shards;
             slot.trials += stats.trials;
+            slot.simulated += stats.simulated;
             slot.busy += stats.busy;
             slot.retried += stats.retried;
             slot.stolen += stats.stolen;

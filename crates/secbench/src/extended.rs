@@ -19,14 +19,14 @@
 
 use sectlb_model::state::Actor;
 use sectlb_sim::cpu::Instr;
-use sectlb_sim::machine::{MachineBuilder, TlbDesign};
+use sectlb_sim::machine::{Machine, MachineBuilder, TlbDesign};
 use sectlb_tlb::config::TlbConfig;
 use sectlb_tlb::types::{SecureRegion, Vpn};
 use sectlb_tlb::InvalidationPolicy;
 
 use crate::generate::{ATTACKER_ASID, VICTIM_ASID};
 use crate::oracle::OracleConfig;
-use crate::run::Measurement;
+use crate::run::{count_simulated, Measurement, TrialTemplate};
 use crate::spec::{Placement, SBASE};
 
 /// One step of an extended benchmark.
@@ -156,47 +156,24 @@ fn lower(step: ExtStep, u: Vpn, a: Vpn) -> Vec<Instr> {
     }
 }
 
-/// Runs one extended trial; returns `true` when the timed step was slow.
-///
-/// An armed `oracle` (sampled by seed) runs the shadow checker in
-/// lockstep with a `tag|benchmark|design|placement|seed` reporting
-/// context, and schedules the trial's planned corruption if any.
-fn run_trial(
-    bench: &ExtBenchmark,
-    design: ExtDesign,
-    placement: Placement,
-    seed: u64,
-    oracle: Option<OracleConfig>,
-) -> bool {
+/// Builds the machine every trial of `design` copies: the design with
+/// its invalidation policy, victim and attacker processes, and the
+/// victim's secure region mapped into both address spaces.
+fn build_machine(design: ExtDesign, oracle_on: bool) -> Machine {
     let (tlb_design, policy) = match design {
         ExtDesign::Sa => (TlbDesign::Sa, InvalidationPolicy::Precise),
         ExtDesign::Sp => (TlbDesign::Sp, InvalidationPolicy::Precise),
         ExtDesign::RfPrecise => (TlbDesign::Rf, InvalidationPolicy::Precise),
         ExtDesign::RfRegionFlush => (TlbDesign::Rf, InvalidationPolicy::RegionFlush),
     };
-    let oracle = oracle.filter(|o| o.armed(seed));
     let mut b = MachineBuilder::new()
         .design(tlb_design)
         .tlb_config(TlbConfig::security_eval())
-        .seed(seed)
         .rf_invalidation(policy);
-    if oracle.is_some() {
+    if oracle_on {
         b = b.oracle(true);
     }
     let mut m = b.build();
-    if let Some(o) = oracle {
-        m.set_oracle_context(format!(
-            "{}|{}|{}|{:?}|{:#x}",
-            o.tag,
-            bench.name,
-            design.label(),
-            placement,
-            seed
-        ));
-        if let Some((op_index, selector, kind)) = o.corruption(seed) {
-            m.schedule_corruption(op_index, selector, kind);
-        }
-    }
     let victim = m.os_mut().create_process();
     let attacker = m.os_mut().create_process();
     let region = SecureRegion::new(SBASE, SEC_PAGES);
@@ -204,25 +181,25 @@ fn run_trial(
     for asid in [victim, attacker] {
         m.os_mut().map_region(asid, SBASE, SEC_PAGES).ok();
     }
+    m
+}
+
+/// Runs one extended trial on `m`; returns `true` when the timed step
+/// was slow.
+fn run_trial(mut m: Machine, bench: &ExtBenchmark, placement: Placement) -> bool {
     let a = SBASE;
     let u = match placement {
         Placement::Mapped => a,
         Placement::NotMapped => SBASE.offset(1),
     };
-    for &s in &bench.setup {
-        for i in lower(s, u, a) {
-            m.exec(i);
-        }
-    }
-    let (prefix, last) = bench.steps.split_at(2);
-    for &s in prefix {
+    for &s in bench.setup.iter().chain(&bench.steps[..2]) {
         for i in lower(s, u, a) {
             m.exec(i);
         }
     }
     // Timed step: accesses observe the miss counter; invalidations observe
     // the cycle counter (present entries cost one extra cycle).
-    let timed = lower(last[0], u, a);
+    let timed = lower(bench.steps[2], u, a);
     let (ctx, op) = timed.split_at(timed.len() - 1);
     for &i in ctx {
         m.exec(i);
@@ -244,27 +221,54 @@ pub fn run_extended(bench: &ExtBenchmark, design: ExtDesign, trials: u32) -> Mea
 /// [`run_extended`] with optional shadow-oracle guardrails — the entry
 /// point of the `table7_eval` driver's `--oracle` mode. The per-trial
 /// seed depends only on the trial index.
+///
+/// Like [`crate::run::run_trial_range`], the design's machine is built
+/// once and every trial runs on a reseeded copy; a seed-free machine
+/// with no oracle configured runs each placement once and credits the
+/// outcome to every trial. An armed trial runs the shadow checker in
+/// lockstep with a `tag|benchmark|design|placement|seed` reporting
+/// context, and gets its planned corruption if any.
 pub fn run_extended_oracle(
     bench: &ExtBenchmark,
     design: ExtDesign,
     trials: u32,
     oracle: Option<OracleConfig>,
 ) -> Measurement {
-    let mut n_mapped_miss = 0;
-    let mut n_not_mapped_miss = 0;
+    if trials == 0 {
+        return Measurement::ZERO;
+    }
+    let template = TrialTemplate::new(oracle, |oracle_on| build_machine(design, oracle_on));
+    let placements = [Placement::Mapped, Placement::NotMapped];
+    if template.runs_once() {
+        let [mapped, not_mapped] = placements
+            .map(|placement| u32::from(run_trial(template.once(), bench, placement)) * trials);
+        count_simulated(1);
+        return Measurement {
+            trials,
+            n_mapped_miss: mapped,
+            n_not_mapped_miss: not_mapped,
+        };
+    }
+    let mut misses = [0u32; 2];
     for t in 0..trials {
         let seed = (u64::from(t) << 4) ^ 0x0ec4_eded;
-        if run_trial(bench, design, Placement::Mapped, seed, oracle) {
-            n_mapped_miss += 1;
-        }
-        if run_trial(bench, design, Placement::NotMapped, seed ^ 1, oracle) {
-            n_not_mapped_miss += 1;
+        for (count, (placement, seed)) in misses
+            .iter_mut()
+            .zip(placements.into_iter().zip([seed, seed ^ 1]))
+        {
+            let m = template.trial(seed, || {
+                format!("{}|{}|{placement:?}", bench.name, design.label())
+            });
+            if run_trial(m, bench, placement) {
+                *count += 1;
+            }
         }
     }
+    count_simulated(u64::from(trials));
     Measurement {
         trials,
-        n_mapped_miss,
-        n_not_mapped_miss,
+        n_mapped_miss: misses[0],
+        n_not_mapped_miss: misses[1],
     }
 }
 

@@ -79,6 +79,10 @@ pub struct WorkerStats {
     pub shards: usize,
     /// Trials (per placement) this worker executed.
     pub trials: u64,
+    /// Trial pairs this worker actually simulated. Trails `trials` when
+    /// seed-free shards credit one simulated pair to every trial (see
+    /// [`crate::run::simulated_pairs`]).
+    pub simulated: u64,
     /// Time this worker spent executing shards (excludes queue idling).
     pub busy: Duration,
     /// Shard attempts this worker retried after a caught panic.
@@ -118,6 +122,12 @@ impl PoolStats {
     /// Total trials (per placement) executed.
     pub fn trials(&self) -> u64 {
         self.workers.iter().map(|w| w.trials).sum()
+    }
+
+    /// Total trial pairs actually simulated (see
+    /// [`WorkerStats::simulated`]).
+    pub fn trials_simulated(&self) -> u64 {
+        self.workers.iter().map(|w| w.simulated).sum()
     }
 
     /// Sum of busy time across workers — the serial-equivalent work.
@@ -850,6 +860,7 @@ where
                 supervisor::set_preempt_flag(Some(preempt_flag.clone()));
             }
             let t0 = Instant::now();
+            let simulated_before = crate::run::simulated_pairs();
             let mut attempt = 0u32;
             let outcome = loop {
                 let run = catch_unwind(AssertUnwindSafe(|| {
@@ -894,6 +905,7 @@ where
             watch_slot.started.store(0, Ordering::Release);
             stats.busy += t0.elapsed();
             stats.shards += 1;
+            stats.simulated += crate::run::simulated_pairs() - simulated_before;
             if telemetry.is_armed() {
                 match &outcome {
                     ShardOutcome::Done(_) => {

@@ -3,10 +3,32 @@
 //! Each vulnerability benchmark is run 500 times with the victim's secret
 //! address mapped to the tested block and 500 times not mapped
 //! (Section 5.3: "24 vulnerability types × 1,000 simulations = 24,000
-//! runs"). Every trial uses a fresh machine — fresh TLB contents and a
-//! fresh Random Fill Engine seed — and observes the final step through the
-//! TLB-miss counter. The counts of slow trials give the empirical
-//! probabilities `p1*` and `p2*` and the channel capacity `C*`.
+//! runs"). Every trial runs on an identical copy of the cell's machine,
+//! reseeded — empty TLB, a Random Fill Engine seeded from the trial's
+//! coordinates — and observes the final step through the TLB-miss
+//! counter. The counts of slow trials give the empirical probabilities
+//! `p1*` and `p2*` and the channel capacity `C*`.
+//!
+//! # Why a reseeded copy equals a fresh machine
+//!
+//! A trial's machine depends on its seed only through the random-fill
+//! engines. The OS, page tables, mappings, secure-region registers and
+//! TLB geometry are the same for every trial of a cell, and setting them
+//! up executes no instruction and draws no randomness. So the cell's
+//! machine is built once per shard, and each trial runs on a
+//! [`Clone`] of it followed by [`Machine::reseed`], which re-derives
+//! every seed the builder hands out (L1, L2 and I-TLB engines, and the
+//! oracle's recorded setup). The copy starts from exactly the state a
+//! fresh build with the trial seed would have, so it runs the program
+//! to exactly the same counters.
+//!
+//! When no TLB unit of the machine holds a random-fill engine
+//! ([`Machine::is_seed_free`]), every trial of the cell is one
+//! deterministic run. Unless the shadow oracle is configured (it samples
+//! and corrupts per trial seed), each placement then runs once per shard
+//! and its outcome is credited to every trial of the shard.
+
+use std::cell::Cell;
 
 use sectlb_model::state::State;
 use sectlb_model::Vulnerability;
@@ -206,9 +228,10 @@ impl std::error::Error for SetupError {
     }
 }
 
-/// Builds the per-trial machine: TLB design + geometry, victim and
-/// attacker processes, their mapped regions, and the programmed secure
-/// region (victim-ASID and `sbase`/`ssize` registers).
+/// Builds a cell's machine: TLB design + geometry, victim and attacker
+/// processes, their mapped regions, and the programmed secure region
+/// (victim-ASID and `sbase`/`ssize` registers). The machine is left
+/// unseeded; each trial runs on a [`Machine::reseed`]ed copy.
 ///
 /// Setup failures (which a fresh machine should never produce, but a
 /// customized one from an ablation hook can) are reported with the
@@ -216,7 +239,6 @@ impl std::error::Error for SetupError {
 fn build_machine(
     spec: &BenchmarkSpec,
     design: TlbDesign,
-    seed: u64,
     rf_eviction: RandomFillEviction,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Result<Machine, SetupError> {
@@ -232,7 +254,6 @@ fn build_machine(
     let builder = MachineBuilder::new()
         .design(design)
         .tlb_config(spec.config)
-        .seed(seed)
         .rf_eviction(rf_eviction);
     let mut m = customize(builder).build();
     let victim = m.os_mut().create_process();
@@ -258,46 +279,88 @@ fn build_machine(
     Ok(m)
 }
 
-/// Runs one trial; returns `true` when the timed step was slow (the miss
-/// counter advanced).
-///
-/// When `settings.oracle` arms this trial (sampled by seed), the machine
-/// runs with the shadow oracle in lockstep and a reporting context of
-/// `tag|vulnerability|design|placement|seed`; a planned corruption (the
-/// `--inject-corruption` harness) is scheduled before execution. Unarmed
-/// trials build exactly as before.
-fn run_trial(
-    spec: &BenchmarkSpec,
-    design: TlbDesign,
-    placement: Placement,
-    program: &[Instr],
-    seed: u64,
-    settings: &TrialSettings,
-    customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<bool, SetupError> {
-    let oracle = settings.oracle.filter(|o| o.armed(seed));
-    let arm: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync) = &|b| {
-        let b = customize(b);
-        if oracle.is_some() {
-            b.oracle(true)
-        } else {
-            b
-        }
-    };
-    let mut m = build_machine(spec, design, seed, settings.rf_eviction, arm)?;
-    if let Some(o) = oracle {
-        m.set_oracle_context(format!(
-            "{}|{}|{}|{:?}|{:#x}",
-            o.tag, spec.vulnerability, design, placement, seed
-        ));
-        if let Some((op_index, selector, kind)) = o.corruption(seed) {
-            m.schedule_corruption(op_index, selector, kind);
+/// The machines one shard of a cell copies its trials from: the cell's
+/// machine as built, plus — only when the campaign configures the shadow
+/// oracle — the same machine built with the oracle on, for the trials
+/// the oracle arms.
+pub(crate) struct TrialTemplate {
+    plain: Machine,
+    armed: Option<Machine>,
+    oracle: Option<OracleConfig>,
+}
+
+impl TrialTemplate {
+    /// Builds the template machines with `build(oracle_on)`.
+    pub(crate) fn new(
+        oracle: Option<OracleConfig>,
+        build: impl Fn(bool) -> Machine,
+    ) -> TrialTemplate {
+        TrialTemplate {
+            plain: build(false),
+            armed: oracle.map(|_| build(true)),
+            oracle,
         }
     }
+
+    /// Whether one simulation per placement stands for every trial: the
+    /// machine is seed-free and no oracle sampling or corruption
+    /// injection (both chosen per trial seed) is configured.
+    pub(crate) fn runs_once(&self) -> bool {
+        self.oracle.is_none() && self.plain.is_seed_free()
+    }
+
+    /// The trial whose seed is `seed`: a reseeded copy of the template.
+    /// When the oracle arms this trial, the copy comes from the armed
+    /// template and gets a `tag|{cell}|placement|seed` reporting context
+    /// plus the trial's planned corruption, if any.
+    pub(crate) fn trial(&self, seed: u64, cell: impl FnOnce() -> String) -> Machine {
+        let oracle = self.oracle.filter(|o| o.armed(seed));
+        let mut m = match (oracle, &self.armed) {
+            (Some(_), Some(armed)) => armed.clone(),
+            _ => self.plain.clone(),
+        };
+        m.reseed(seed);
+        if let Some(o) = oracle {
+            m.set_oracle_context(format!("{}|{}|{:#x}", o.tag, cell(), seed));
+            if let Some((op_index, selector, kind)) = o.corruption(seed) {
+                m.schedule_corruption(op_index, selector, kind);
+            }
+        }
+        m
+    }
+
+    /// A copy of the template for the single run of a
+    /// [`TrialTemplate::runs_once`] template.
+    pub(crate) fn once(&self) -> Machine {
+        self.plain.clone()
+    }
+}
+
+/// Runs one trial's program; returns `true` when the timed step was slow
+/// (the miss counter advanced).
+fn timed_step_slow(mut m: Machine, program: &[Instr]) -> bool {
     m.run_batch(program);
     let reads = &m.stats().counter_reads;
     assert_eq!(reads.len(), 2, "benchmark reads the counter exactly twice");
-    Ok(reads[1] > reads[0])
+    reads[1] > reads[0]
+}
+
+thread_local! {
+    /// Trial pairs simulated on this thread (see [`simulated_pairs`]).
+    static SIMULATED_PAIRS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Trial pairs (one mapped plus one not-mapped run) this thread has
+/// simulated so far. A seed-free shard credits many trials to one
+/// simulated pair, so this trails the credited trial count; the engine
+/// reads it around each shard to report both.
+pub fn simulated_pairs() -> u64 {
+    SIMULATED_PAIRS.with(Cell::get)
+}
+
+/// Adds `pairs` to this thread's [`simulated_pairs`] count.
+pub(crate) fn count_simulated(pairs: u64) {
+    SIMULATED_PAIRS.with(|c| c.set(c.get() + pairs));
 }
 
 /// Measures one vulnerability on one design: the plain single-cell loop
@@ -356,6 +419,11 @@ impl TrialCell {
 /// proptests split campaigns at arbitrary boundaries with it). The result
 /// covers `range.len()` trials per placement.
 ///
+/// The cell's machine is built once per call and every trial runs on a
+/// reseeded copy of it (see the module docs for why that equals a fresh
+/// build). A seed-free machine with no oracle configured runs each
+/// placement once and credits the outcome to the whole range.
+///
 /// A machine-setup failure panics with a [`SetupError`] message carrying
 /// the full cell coordinates, which the engine's `catch_unwind` surfaces
 /// verbatim in its quarantine report.
@@ -365,43 +433,62 @@ pub fn run_trial_range(
     range: std::ops::Range<u32>,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Measurement {
+    let trials = range.len() as u32;
+    if trials == 0 {
+        return Measurement::ZERO;
+    }
     let v = &cell.spec.vulnerability;
-    let mut n_mapped_miss = 0;
-    let mut n_not_mapped_miss = 0;
-    for t in range.clone() {
+    let template = TrialTemplate::new(settings.oracle, |oracle_on| {
+        build_machine(&cell.spec, cell.design, settings.rf_eviction, &|b| {
+            let b = customize(b);
+            if oracle_on {
+                b.oracle(true)
+            } else {
+                b
+            }
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+    });
+    let placements = [
+        (Placement::Mapped, &cell.mapped),
+        (Placement::NotMapped, &cell.not_mapped),
+    ];
+    if template.runs_once() {
+        crate::supervisor::preempt_point();
+        let [mapped, not_mapped] = placements.map(|(_, program)| {
+            if timed_step_slow(template.once(), program) {
+                trials
+            } else {
+                0
+            }
+        });
+        count_simulated(1);
+        return Measurement {
+            trials,
+            n_mapped_miss: mapped,
+            n_not_mapped_miss: not_mapped,
+        };
+    }
+    let mut misses = [0u32; 2];
+    for t in range {
         // Cooperative cell-deadline preemption: unwinds with a typed
         // payload the engine reports as TIMEOUT. A no-op unless the
         // engine armed this thread's flag. Sits between trials, so a
         // preemption never splits a trial's batch mid-run.
         crate::supervisor::preempt_point();
-        for (placement, program, counter) in [
-            (Placement::Mapped, &cell.mapped, &mut n_mapped_miss),
-            (
-                Placement::NotMapped,
-                &cell.not_mapped,
-                &mut n_not_mapped_miss,
-            ),
-        ] {
+        for (count, (placement, program)) in misses.iter_mut().zip(placements) {
             let seed = derive_trial_seed(settings.base_seed, v, cell.design, placement, t);
-            match run_trial(
-                &cell.spec,
-                cell.design,
-                placement,
-                program,
-                seed,
-                settings,
-                customize,
-            ) {
-                Ok(true) => *counter += 1,
-                Ok(false) => {}
-                Err(e) => panic!("{e}"),
+            let m = template.trial(seed, || format!("{v}|{}|{placement:?}", cell.design));
+            if timed_step_slow(m, program) {
+                *count += 1;
             }
         }
     }
+    count_simulated(u64::from(trials));
     Measurement {
-        trials: range.len() as u32,
-        n_mapped_miss,
-        n_not_mapped_miss,
+        trials,
+        n_mapped_miss: misses[0],
+        n_not_mapped_miss: misses[1],
     }
 }
 
@@ -507,13 +594,19 @@ mod tests {
     fn ms_measurements_equal_sa_bitwise() {
         // The campaign workloads issue only 4 KiB accesses and MS's base
         // class carries the evaluation geometry, so the split TLB measures
-        // identically to SA on every row (neither design consumes the RFE
-        // seed, so differing trial seeds cannot perturb this).
+        // identically to SA on every row. Both machines are seed-free
+        // (`Machine::is_seed_free`: no random-fill engine anywhere), so
+        // differing trial seeds cannot perturb this.
         let s = TrialSettings {
             trials: 12,
             ..TrialSettings::default()
         };
         for v in enumerate_vulnerabilities() {
+            for d in [TlbDesign::Sa, TlbDesign::Ms] {
+                let spec = BenchmarkSpec::build_with_config(&v, d, s.config);
+                let m = build_machine(&spec, d, s.rf_eviction, &|b| b).expect("builds");
+                assert!(m.is_seed_free(), "{v} on {d}");
+            }
             let sa = run_vulnerability(&v, TlbDesign::Sa, &s);
             let ms = run_vulnerability(&v, TlbDesign::Ms, &s);
             assert_eq!(sa, ms, "{v}: MS diverged from SA");

@@ -1043,6 +1043,10 @@ pub fn render_metrics(
     out.push_str(&format!("  \"busy_ns\": {busy_ns},\n"));
     out.push_str(&format!("  \"trial_pairs\": {},\n", s.trials()));
     out.push_str(&format!(
+        "  \"trial_pairs_simulated\": {},\n",
+        s.trials_simulated()
+    ));
+    out.push_str(&format!(
         "  \"throughput_pairs_per_s\": {},\n",
         float(if stats.is_some() { s.throughput() } else { 0.0 })
     ));
@@ -1291,6 +1295,7 @@ mod tests {
                 WorkerStats {
                     shards: 3,
                     trials: 75,
+                    simulated: 3,
                     busy: Duration::from_millis(60),
                     retried: 1,
                     stolen: 2,
@@ -1298,6 +1303,7 @@ mod tests {
                 WorkerStats {
                     shards: 2,
                     trials: 50,
+                    simulated: 50,
                     busy: Duration::from_millis(40),
                     retried: 0,
                     stolen: 0,
@@ -1325,6 +1331,9 @@ mod tests {
         );
         assert!(json.contains("\"driver\": \"table4\""), "{json}");
         assert!(json.contains("\"trial_pairs\": 125"), "{json}");
+        // Credited and simulated pairs are reported side by side: the
+        // first worker ran seed-free shards (one pair per shard).
+        assert!(json.contains("\"trial_pairs_simulated\": 53"), "{json}");
         assert!(json.contains("\"p50\": 1500"), "{json}");
         // throughput = pairs / wall: 125 / 0.1s = 1250/s.
         assert!(

@@ -7,6 +7,9 @@
 //! through parse byte-identically. Together they freeze schema v1: any
 //! serialization change breaks one of them and must bump
 //! [`sectlb_secbench::telemetry::SCHEMA_VERSION`].
+//!
+//! A third test runs a real campaign and checks that the metrics snapshot
+//! reports simulated trial pairs beside the credited ones.
 
 use std::io::Write;
 use std::num::NonZeroUsize;
@@ -189,5 +192,43 @@ proptest! {
         let parsed = Envelope::parse(&line).unwrap_or_else(|e| panic!("{e} on {line}"));
         prop_assert_eq!(&parsed, &envelope);
         prop_assert_eq!(parsed.render(), line);
+    }
+}
+
+#[test]
+fn metrics_report_simulated_pairs_beside_credited_ones() {
+    use sectlb_model::enumerate_vulnerabilities;
+    use sectlb_secbench::resilience::measure_cells_resilient;
+    use sectlb_secbench::run::TrialSettings;
+    use sectlb_secbench::telemetry::{render_metrics, PhaseTimings};
+    use sectlb_sim::machine::TlbDesign;
+
+    let v = enumerate_vulnerabilities()[0];
+    let cells = [(v, TlbDesign::Sa), (v, TlbDesign::Rf)];
+    let settings = TrialSettings {
+        trials: 50,
+        ..TrialSettings::default()
+    };
+    for workers in [1, 2] {
+        let outcome = measure_cells_resilient(
+            &cells,
+            &settings,
+            NonZeroUsize::new(workers).expect("nonzero"),
+            &RunPolicy::default(),
+            &Telemetry::disabled(),
+            &|b| b,
+        )
+        .expect("campaign completes");
+        // Both cells credit all 50 trials. The seed-free SA cell
+        // simulates one pair per 25-trial shard; RF simulates every trial.
+        assert_eq!(outcome.stats.trials(), 100, "{workers} workers");
+        assert_eq!(
+            outcome.stats.trials_simulated(),
+            2 + 50,
+            "{workers} workers"
+        );
+        let json = render_metrics("table4", Some(&outcome.stats), PhaseTimings::default(), &[]);
+        assert!(json.contains("\"trial_pairs\": 100,"), "{json}");
+        assert!(json.contains("\"trial_pairs_simulated\": 52,"), "{json}");
     }
 }

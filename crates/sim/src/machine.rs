@@ -88,6 +88,12 @@ impl std::fmt::Display for TlbDesign {
     }
 }
 
+/// XORed into the machine seed to seed an L2 TLB's random-fill engine.
+const L2_SEED_SALT: u64 = 0x12;
+
+/// XORed into the machine seed to seed the I-TLB's random-fill engine.
+const ITLB_SEED_SALT: u64 = 0x17b;
+
 /// Builder for a [`Machine`].
 #[derive(Debug)]
 pub struct MachineBuilder {
@@ -289,7 +295,7 @@ impl MachineBuilder {
     pub fn build(self) -> Machine {
         let tlb = if let Some((design, config, latency)) = self.l2 {
             let l1 = self.make_core(self.design, self.config, self.seed);
-            let l2 = self.make_core(design, config, self.seed ^ 0x12);
+            let l2 = self.make_core(design, config, self.seed ^ L2_SEED_SALT);
             let hier = TlbHierarchy::new(l1, l2, latency);
             if self.reference_path {
                 TlbUnit::Dyn(Box::new(hier))
@@ -301,7 +307,7 @@ impl MachineBuilder {
         };
         let itlb = self
             .itlb
-            .map(|(design, config)| self.make_tlb(design, config, self.seed ^ 0x17b));
+            .map(|(design, config)| self.make_tlb(design, config, self.seed ^ ITLB_SEED_SALT));
         let oracle = self.oracle.unwrap_or(cfg!(debug_assertions)).then(|| {
             Box::new(Oracle::new(MachineSetup {
                 design: self.design,
@@ -343,6 +349,13 @@ impl Default for MachineBuilder {
 }
 
 /// A simulated single-core machine.
+///
+/// Cloning copies everything: TLB contents and random-fill engine state,
+/// page tables, counters and oracle state. A clone of a machine that has
+/// executed nothing, followed by [`Machine::reseed`], behaves exactly
+/// like a fresh build with that seed — which is how the security
+/// campaigns set up each trial.
+#[derive(Clone)]
 pub struct Machine {
     tlb: TlbUnit,
     itlb: Option<TlbUnit>,
@@ -386,6 +399,32 @@ impl Machine {
     /// The TLB design in use.
     pub fn design(&self) -> TlbDesign {
         self.design
+    }
+
+    /// Re-derives every seed [`MachineBuilder::build`] hands out from
+    /// `seed`: the L1 random-fill engine, an L2's, the I-TLB's, and the
+    /// oracle's recorded setup. On a machine that has not executed
+    /// anything since it was built, the result is indistinguishable from
+    /// a build with `.seed(seed)`: setup (processes, mappings, secure
+    /// regions) draws no randomness, and nothing else depends on the
+    /// seed.
+    pub fn reseed(&mut self, seed: u64) {
+        self.tlb.reseed_level(0, seed);
+        self.tlb.reseed_level(1, seed ^ L2_SEED_SALT);
+        if let Some(itlb) = &mut self.itlb {
+            itlb.reseed_level(0, seed ^ ITLB_SEED_SALT);
+        }
+        if let Some(o) = &mut self.oracle {
+            o.setup.seed = seed;
+        }
+    }
+
+    /// Whether the machine's behavior cannot depend on its seed: no TLB
+    /// unit in it (L1, L2 or I-TLB) holds a random-fill engine. Two
+    /// copies of a seed-free machine given the same program produce
+    /// bitwise-identical results whatever their seeds.
+    pub fn is_seed_free(&self) -> bool {
+        !self.tlb.has_random_fill() && !self.itlb.as_ref().is_some_and(TlbUnit::has_random_fill)
     }
 
     /// The TLB (for stats and probing).

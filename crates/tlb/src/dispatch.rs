@@ -43,6 +43,20 @@ pub enum TlbUnit {
     Dyn(Box<dyn TlbCore>),
 }
 
+impl Clone for TlbUnit {
+    fn clone(&self) -> TlbUnit {
+        match self {
+            TlbUnit::Sa(t) => TlbUnit::Sa(t.clone()),
+            TlbUnit::Sp(t) => TlbUnit::Sp(t.clone()),
+            TlbUnit::Rf(t) => TlbUnit::Rf(t.clone()),
+            TlbUnit::Tp(t) => TlbUnit::Tp(t.clone()),
+            TlbUnit::Ms(t) => TlbUnit::Ms(t.clone()),
+            TlbUnit::Hier(t) => TlbUnit::Hier(t.clone()),
+            TlbUnit::Dyn(t) => TlbUnit::Dyn(t.clone_box()),
+        }
+    }
+}
+
 impl std::fmt::Debug for TlbUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TlbUnit({})", self.design_name())
@@ -223,6 +237,18 @@ impl TlbCore for TlbUnit {
 
     fn corrupt_entry(&mut self, selector: u64, kind: CorruptionKind) -> Option<CorruptionReport> {
         dispatch!(self, t => t.corrupt_entry(selector, kind))
+    }
+
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
+    fn reseed_level(&mut self, level: usize, seed: u64) {
+        dispatch!(self, t => t.reseed_level(level, seed))
+    }
+
+    fn has_random_fill(&self) -> bool {
+        dispatch!(self, t => t.has_random_fill())
     }
 }
 

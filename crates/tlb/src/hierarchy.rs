@@ -24,6 +24,16 @@ pub struct TlbHierarchy {
     l2_latency: u64,
 }
 
+impl Clone for TlbHierarchy {
+    fn clone(&self) -> TlbHierarchy {
+        TlbHierarchy {
+            l1: self.l1.clone_box(),
+            l2: self.l2.clone_box(),
+            l2_latency: self.l2_latency,
+        }
+    }
+}
+
 impl std::fmt::Debug for TlbHierarchy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TlbHierarchy")
@@ -125,6 +135,22 @@ impl TlbCore for TlbHierarchy {
 
     fn design_name(&self) -> &'static str {
         "L1+L2"
+    }
+
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
+    fn reseed_level(&mut self, level: usize, seed: u64) {
+        match level {
+            0 => self.l1.reseed_level(0, seed),
+            1 => self.l2.reseed_level(0, seed),
+            _ => {}
+        }
+    }
+
+    fn has_random_fill(&self) -> bool {
+        self.l1.has_random_fill() || self.l2.has_random_fill()
     }
 
     fn level_stats(&self, level: usize) -> Option<&TlbStats> {

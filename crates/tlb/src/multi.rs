@@ -186,6 +186,10 @@ impl<P: StoreProfile> TlbCore for MsTlbGen<P> {
         "MS"
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
     fn probe_level(&self, level: usize, asid: Asid, vpn: Vpn) -> Option<bool> {
         self.classes
             .get(level)

@@ -287,6 +287,10 @@ impl<P: StoreProfile> TlbCore for SpTlbGen<P> {
         "SP"
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
     fn set_victim_asid(&mut self, victim: Option<Asid>) {
         // Repurposing the partition for a different victim must not leave
         // stale entries on the wrong side of the split.

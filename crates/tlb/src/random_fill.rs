@@ -370,6 +370,20 @@ impl<P: StoreProfile> TlbCore for RfTlbGen<P> {
         "RF"
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
+    fn reseed_level(&mut self, level: usize, seed: u64) {
+        if level == 0 {
+            self.rfe = RandomFillEngine::from_seed(seed);
+        }
+    }
+
+    fn has_random_fill(&self) -> bool {
+        true
+    }
+
     fn set_victim_asid(&mut self, victim: Option<Asid>) {
         if self.victim_asid != victim {
             self.flush_all();

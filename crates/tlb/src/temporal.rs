@@ -135,6 +135,10 @@ impl<P: StoreProfile> TlbCore for TpTlbGen<P> {
         }
     }
 
+    fn clone_box(&self) -> Box<dyn TlbCore> {
+        Box::new(self.clone())
+    }
+
     fn on_context_switch(&mut self) {
         match self.scope {
             ClearScope::Entries => self.inner.array_mut().clear_entries_keep_ranks(),

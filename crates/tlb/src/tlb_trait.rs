@@ -204,6 +204,23 @@ pub trait TlbCore: sealed::Sealed {
         selector: u64,
         kind: crate::check::CorruptionKind,
     ) -> Option<crate::check::CorruptionReport>;
+
+    /// A boxed copy of this TLB: contents, replacement state, counters,
+    /// registers and random-fill engine state. Lets the boxed
+    /// compositions ([`crate::TlbHierarchy`], [`crate::TlbUnit::Dyn`])
+    /// be cloned like the concrete designs.
+    fn clone_box(&self) -> Box<dyn TlbCore>;
+
+    /// Re-seeds the random-fill engine at `level` (0 is the L1) as if the
+    /// TLB had been built with `seed`. Designs without a random-fill
+    /// engine at that level ignore this.
+    fn reseed_level(&mut self, _level: usize, _seed: u64) {}
+
+    /// Whether any level of this TLB draws from a random-fill engine —
+    /// i.e. whether its behavior can depend on its seed at all.
+    fn has_random_fill(&self) -> bool {
+        false
+    }
 }
 
 pub(crate) mod sealed {
