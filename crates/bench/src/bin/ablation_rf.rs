@@ -7,22 +7,18 @@
 //! This binary measures the channel capacity of every Table 2 row on the
 //! RF TLB under both policies.
 //!
-//! Usage: `ablation_rf [--trials N] [--adaptive[=ALPHA]] [--workers
-//! N|auto] [--checkpoint PATH] [--resume PATH] [--retries N]
-//! [--kill-after N] [--inject-* ...] [--events PATH] [--metrics PATH]`
+//! Usage: `ablation_rf [--trials N] [--workers N|auto] [--checkpoint
+//! PATH] [--resume PATH] [--retries N] [--kill-after N] [--inject-* ...]
+//! [--events PATH] [--metrics PATH]`
 //!
 //! The 24×2 sweep runs on the campaign engine, one shard per
 //! vulnerability row (both evictions).
-//! `--adaptive` stops each cell's trials as soon as its leak verdict is
-//! statistically settled (the printed C* then reflects the settled
-//! prefix), which never flips a verdict.
 
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
 use sectlb_model::enumerate_vulnerabilities;
-use sectlb_secbench::adaptive::{run_vulnerability_adaptive, SequentialTest};
 use sectlb_secbench::oracle;
 use sectlb_secbench::run::{run_vulnerability, TrialSettings};
 use sectlb_sim::machine::TlbDesign;
@@ -30,10 +26,10 @@ use sectlb_tlb::RandomFillEviction;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--trials"], &[]);
     let trials = cli::trials_flag(&args, 300);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    let adaptive = cli::adaptive_flags(&args);
     let oracle = cli::oracle_flags(&args, &policy, "ablation_rf");
     let mut obs = Observability::from_args("ablation_rf", &args);
     println!("RF TLB random-fill eviction ablation ({trials} trials per placement)\n");
@@ -42,12 +38,6 @@ fn main() {
         "vulnerability", "C* random-way", "C* LRU-way"
     );
     let vulns = enumerate_vulnerabilities();
-    // The leak criterion below prints at C* > 0.05, so the sequential
-    // test must settle against the same threshold to preserve verdicts.
-    let test = adaptive.map(|a| SequentialTest {
-        alpha: a.alpha,
-        threshold: 0.05,
-    });
     let measure = |v, eviction| {
         let settings = TrialSettings {
             trials,
@@ -55,23 +45,14 @@ fn main() {
             oracle,
             ..TrialSettings::default()
         };
-        match &test {
-            Some(test) => run_vulnerability_adaptive(v, TlbDesign::Rf, &settings, test).capacity(),
-            None => run_vulnerability(v, TlbDesign::Rf, &settings).capacity(),
-        }
+        run_vulnerability(v, TlbDesign::Rf, &settings).capacity()
     };
-    // One engine task per vulnerability row, in print order. The
-    // adaptive alpha joins the fingerprint: an adaptive checkpoint holds
-    // settled prefixes, which an exhaustive resume must not trust.
-    let mut coords = vec![u64::from(trials)];
-    if let Some(test) = &test {
-        coords.push(test.alpha.to_bits());
-    }
+    // One engine task per vulnerability row, in print order.
     let tasks: Vec<usize> = (0..vulns.len()).collect();
     obs.campaign_begin();
     let outcome = campaign::run_campaign(
         "ablation_rf",
-        coords,
+        [u64::from(trials)],
         &tasks,
         workers,
         &policy,

@@ -27,10 +27,10 @@ use sectlb_workloads::spec_like::SpecBenchmark;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--trials"], &[]);
     let trials = cli::trials_flag(&args, 200);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    cli::reject_adaptive(&args, "ablation_sp_ways");
     let config = TlbConfig::security_eval(); // 8 ways, 4 sets
     let pp = *enumerate_vulnerabilities()
         .iter()

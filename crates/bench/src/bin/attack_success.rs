@@ -29,6 +29,7 @@ use sectlb_workloads::rsa::RsaKey;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--seeds"], &[]);
     let seeds: u64 = args
         .iter()
         .position(|a| a == "--seeds")
@@ -38,7 +39,6 @@ fn main() {
         .unwrap_or(5);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    cli::reject_adaptive(&args, "attack_success");
     let oracle = cli::oracle_flags(&args, &policy, "attack_success");
     let mut obs = Observability::from_args("attack_success", &args);
     let key = RsaKey::demo_128();

@@ -27,10 +27,10 @@ use sectlb_tlb::config::TlbConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--design"], &["--quick"]);
     let quick = args.iter().any(|a| a == "--quick");
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    cli::reject_adaptive(&args, "fig7");
     let oracle_cfg = cli::oracle_flags(&args, &policy, "fig7");
     let designs: Vec<TlbDesign> = match cli::design_flag(&args) {
         Some(d) => vec![d],

@@ -2,8 +2,8 @@
 //! types each pre-existing mitigation (and each of the paper's designs)
 //! defends.
 //!
-//! Usage: `mitigations [--trials N] [--extended] [--adaptive[=ALPHA]]
-//! [--workers N|auto] [--checkpoint PATH] [--resume PATH] [--retries N]
+//! Usage: `mitigations [--trials N] [--extended] [--workers N|auto]
+//! [--checkpoint PATH] [--resume PATH] [--retries N]
 //! [--kill-after N] [--inject-* ...] [--events PATH] [--metrics PATH]`
 //!
 //! `--extended` appends the temporal-partitioning designs (FS hardware
@@ -12,16 +12,13 @@
 //!
 //! The survey runs on the campaign engine, one shard per mitigation: a
 //! panicking survey row is retried deterministically and, if it keeps failing, reported as
-//! quarantined instead of aborting the others. `--adaptive` stops each
-//! of a row's 24 cells as soon as its verdict is statistically settled;
-//! the defended counts are guaranteed to match the exhaustive run.
+//! quarantined instead of aborting the others.
 
 use std::path::Path;
 
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
-use sectlb_secbench::adaptive::SequentialTest;
-use sectlb_secbench::mitigations::{defended_count, defended_count_adaptive, Mitigation};
+use sectlb_secbench::mitigations::{defended_count, Mitigation};
 use sectlb_secbench::oracle;
 use sectlb_secbench::run::TrialSettings;
 
@@ -30,9 +27,9 @@ const THRESHOLD: f64 = 0.06;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--trials"], &["--extended"]);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    let adaptive = cli::adaptive_flags(&args);
     let survey: &[Mitigation] = if args.iter().any(|a| a == "--extended") {
         &Mitigation::EXTENDED
     } else {
@@ -43,59 +40,22 @@ fn main() {
         oracle: cli::oracle_flags(&args, &policy, "mitigations"),
         ..TrialSettings::default()
     };
-    let test = adaptive.map(|a| SequentialTest {
-        alpha: a.alpha,
-        threshold: THRESHOLD,
-    });
     let mut obs = Observability::from_args("mitigations", &args);
     println!("Section 2.3: existing mitigations vs. the 24 vulnerability types");
     println!("({} trials per placement)\n", settings.trials);
     println!("{:<42} {:>10} {:>8}", "approach", "measured", "paper");
-    // One row = 24 adaptive cells; the count plus total trials saved.
-    let row = |m: &Mitigation, test: &SequentialTest| {
-        let (count, saved) = defended_count_adaptive(*m, &settings, test);
-        (count as u64, saved)
-    };
     let tasks: Vec<Mitigation> = survey.to_vec();
-    // The adaptive alpha joins the fingerprint (and the record shape
-    // changes), so adaptive and exhaustive checkpoints can never
-    // cross-resume.
-    let mut saved_total = 0;
     obs.campaign_begin();
-    let outcome = match &test {
-        Some(test) => {
-            let outcome = campaign::run_campaign(
-                "mitigations",
-                [
-                    u64::from(settings.trials),
-                    settings.base_seed,
-                    test.alpha.to_bits(),
-                ],
-                &tasks,
-                workers,
-                &policy,
-                obs.telemetry(),
-                &|m: &Mitigation| m.label().to_owned(),
-                |m: &Mitigation| row(m, test),
-            );
-            saved_total = outcome
-                .results
-                .iter()
-                .filter_map(|r| r.done().map(|&(_, saved)| saved))
-                .sum();
-            outcome.map(|(count, _)| count)
-        }
-        None => campaign::run_campaign(
-            "mitigations",
-            [u64::from(settings.trials), settings.base_seed],
-            &tasks,
-            workers,
-            &policy,
-            obs.telemetry(),
-            &|m: &Mitigation| m.label().to_owned(),
-            |m: &Mitigation| defended_count(*m, &settings, THRESHOLD) as u64,
-        ),
-    };
+    let outcome = campaign::run_campaign(
+        "mitigations",
+        [u64::from(settings.trials), settings.base_seed],
+        &tasks,
+        workers,
+        &policy,
+        obs.telemetry(),
+        &|m: &Mitigation| m.label().to_owned(),
+        |m: &Mitigation| defended_count(*m, &settings, THRESHOLD) as u64,
+    );
     obs.campaign_end();
     for (m, result) in tasks.iter().zip(&outcome.results) {
         match result.done() {
@@ -114,7 +74,6 @@ fn main() {
         }
     }
     print_reading();
-    print_saved(&test, saved_total);
     let summary = oracle::conclude("mitigations", Path::new("repro"));
     print_suspects(&summary);
     outcome.eprint_summary();
@@ -122,16 +81,6 @@ fn main() {
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));
     std::process::exit(summary.exit_code(outcome.exit_code()));
-}
-
-fn print_saved(test: &Option<SequentialTest>, saved: u64) {
-    if let Some(test) = test {
-        println!(
-            "\nadaptive early stopping (alpha = {}): saved {saved} trials x 2 placements \
-             across the survey",
-            test.alpha
-        );
-    }
 }
 
 /// A mitigation row aggregates 24 vulnerabilities on a shared design, so

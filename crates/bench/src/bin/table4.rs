@@ -38,9 +38,9 @@ use sectlb_sim::machine::TlbDesign;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--trials", "--designs"], &[]);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    let adaptive = cli::adaptive_flags(&args);
     let designs = cli::designs_flag(&args).unwrap_or_else(|| TlbDesign::ALL.to_vec());
     let settings = TrialSettings {
         trials: cli::trials_flag(&args, TrialSettings::default().trials),
@@ -50,28 +50,21 @@ fn main() {
     let worker_count = workers.unwrap_or(NonZeroUsize::MIN);
     // A default invocation keeps its historical "(serial)" banner and no
     // pool line: it is one worker, and prints exactly its table.
-    let report_pool = campaign::reports_pool(workers, &policy) || adaptive.is_some();
+    let report_pool = campaign::reports_pool(workers, &policy);
     eprintln!(
         "running {} trials x 2 placements x 24 vulnerabilities x {} designs ({}) ...",
         settings.trials,
         designs.len(),
-        match adaptive {
-            _ if !report_pool => "serial".to_owned(),
-            Some(_) => format!("{worker_count} workers, resilient engine, adaptive early stopping"),
-            None => format!("{worker_count} workers, resilient engine"),
+        if report_pool {
+            format!("{worker_count} workers, resilient engine")
+        } else {
+            "serial".to_owned()
         }
     );
     let mut obs = Observability::from_args("table4", &args);
     supervisor::install_signal_handlers();
     obs.campaign_begin();
-    let built = build_table4(
-        &designs,
-        &settings,
-        worker_count,
-        &policy,
-        adaptive,
-        obs.telemetry(),
-    );
+    let built = build_table4(&designs, &settings, worker_count, &policy, obs.telemetry());
     obs.campaign_end();
     let report = match built {
         Ok(report) => report,

@@ -24,9 +24,9 @@ use sectlb_tlb::config::TlbConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &[], &[]);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    cli::reject_adaptive(&args, "table5");
     let _ = cli::oracle_flags(&args, &policy, "table5");
     let mut obs = Observability::from_args("table5", &args);
     let baseline_cfg = TlbConfig::sa(32, 4).unwrap_or_else(|e| {

@@ -23,10 +23,10 @@ use sectlb_secbench::oracle;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::reject_unknown(&args, &["--trials"], &[]);
     let trials = cli::trials_flag(&args, 500);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
-    cli::reject_adaptive(&args, "table7_eval");
     let oracle_cfg = cli::oracle_flags(&args, &policy, "table7_eval");
     let mut obs = Observability::from_args("table7_eval", &args);
     println!("Appendix B attacks vs. the designs ({trials} trials per placement)");

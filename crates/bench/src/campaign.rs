@@ -99,20 +99,6 @@ impl<R> DriverCampaign<R> {
         }
     }
 
-    /// Maps every completed result, preserving gaps and counters — for
-    /// drivers whose engine result carries bookkeeping (e.g. adaptive
-    /// trials-saved) they strip before rendering.
-    pub fn map<S>(self, f: impl Fn(R) -> S) -> DriverCampaign<S> {
-        DriverCampaign {
-            results: self.results.into_iter().map(|r| r.map(&f)).collect(),
-            stats: self.stats,
-            resumed: self.resumed,
-            stalls: self.stalls,
-            stop: self.stop,
-            report_pool: self.report_pool,
-        }
-    }
-
     /// The process exit code: [`EXIT_BUDGET`] when the supervisor cut the
     /// run short (the table is partial and a `--resume` can finish it),
     /// else [`EXIT_QUARANTINED`] when shards exhausted their retries,

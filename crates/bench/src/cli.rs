@@ -34,8 +34,6 @@
 //!   checkpoint, and the driver renders a partial report (exit 7)
 //! - `--cell-deadline-ms MS` — per-shard budget; an overrunning shard is
 //!   cooperatively preempted and its cell rendered TIMEOUT
-//! - `--adaptive[=ALPHA]` ([`parse_adaptive`]) — sequential early
-//!   stopping per cell, guaranteed to agree with the exhaustive verdicts
 //!
 //! The shadow-oracle flag ([`parse_oracle`]) arms the lockstep reference
 //! model: `--oracle[=RATE]` checks RATE‰ of trials (default: all).
@@ -51,14 +49,15 @@
 //!
 //! Parsing is split into fallible `parse_*` helpers (unit-testable) and
 //! thin `*_flag` wrappers that print the error and exit 2, matching the
-//! drivers' historical behavior for malformed flags.
+//! drivers' historical behavior for malformed flags. Each driver also
+//! calls [`reject_unknown`] with its own flags, so a misspelt or retired
+//! flag exits 2 instead of being silently ignored.
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
-use sectlb_secbench::adaptive::AdaptivePolicy;
 use sectlb_secbench::checkpoint::CheckpointPolicy;
 use sectlb_secbench::iofault::{IoFault, IoFaultKind};
 use sectlb_secbench::oracle::OracleConfig;
@@ -314,38 +313,6 @@ pub fn inject_io_flag(args: &[String]) -> Option<IoFault> {
     parse_inject_io(args).unwrap_or_else(|e| exit_usage(e))
 }
 
-/// Parses `--adaptive[=ALPHA]` into an [`AdaptivePolicy`]; `Ok(None)`
-/// when absent. The bare flag uses the default confidence
-/// (`AdaptivePolicy::default()`); an explicit alpha must lie in (0, 1).
-///
-/// `--adaptive` conflicts with `--kill-after`: the kill switch counts
-/// engine shards, and early stopping changes how many shards a cell
-/// needs, so the combination would make "kill after N" depend on the
-/// statistics it is supposed to be testing.
-pub fn parse_adaptive(args: &[String]) -> Result<Option<AdaptivePolicy>, String> {
-    let alpha = match eq_flag(args, "--adaptive") {
-        None => return Ok(None),
-        Some(None) => AdaptivePolicy::default().alpha,
-        Some(Some(v)) => match v.parse::<f64>() {
-            Ok(a) if a > 0.0 && a < 1.0 => a,
-            _ => {
-                return Err(format!(
-                    "--adaptive needs an error budget alpha in (0, 1), got {v:?}"
-                ))
-            }
-        },
-    };
-    if args.iter().any(|a| a == "--kill-after") {
-        return Err(
-            "--adaptive conflicts with --kill-after: the kill switch counts shards, and \
-             adaptive early stopping changes how many shards each cell runs \
-             (use --deadline for a budget that composes with --adaptive)"
-                .to_owned(),
-        );
-    }
-    Ok(Some(AdaptivePolicy { alpha }))
-}
-
 /// Looks up a design by its case-insensitive short name for `flag`,
 /// naming every known design when `word` is not one of them.
 fn design_named(flag: &str, word: &str) -> Result<TlbDesign, String> {
@@ -402,15 +369,57 @@ pub fn parse_metrics(args: &[String]) -> Result<Option<PathBuf>, String> {
     Ok(flag_value(args, "--metrics")?.map(PathBuf::from))
 }
 
-/// Rejects `--adaptive` on drivers whose verdicts are not a per-cell
-/// two-proportion test (exit 2 with a driver-specific message).
-pub fn reject_adaptive(args: &[String], driver: &str) {
-    if eq_flag(args, "--adaptive").is_some() {
-        exit_usage(format!(
-            "{driver} does not support --adaptive: its cells are not defended/vulnerable \
-             verdicts a sequential test can settle early"
-        ));
+/// The value-taking flags (`--flag VALUE`) every campaign driver accepts.
+const CAMPAIGN_VALUE_FLAGS: [&str; 18] = [
+    "--workers",
+    "--retries",
+    "--stall-deadline-ms",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+    "--kill-after",
+    "--deadline",
+    "--cell-deadline-ms",
+    "--inject-panics",
+    "--inject-panic-attempts",
+    "--inject-fatal",
+    "--inject-stall",
+    "--inject-stall-ms",
+    "--fault-seed",
+    "--inject-io",
+    "--events",
+    "--metrics",
+];
+
+/// The `--flag[=VALUE]` flags every campaign driver accepts.
+const CAMPAIGN_EQ_FLAGS: [&str; 2] = ["--oracle", "--inject-corruption"];
+
+/// Checks that every argument after the program name is a flag the
+/// driver parses: a campaign flag, one of the driver's own value-taking
+/// `values` (the next argument is its value), or one of its bare
+/// `switches`. Names the first argument that is none of these.
+pub fn check_args(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let flag = arg.as_str();
+        if values.contains(&flag) || CAMPAIGN_VALUE_FLAGS.contains(&flag) {
+            rest.next();
+            continue;
+        }
+        let eq_style = CAMPAIGN_EQ_FLAGS.iter().any(|f| {
+            flag.strip_prefix(f)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('='))
+        });
+        if !eq_style && !switches.contains(&flag) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
     }
+    Ok(())
+}
+
+/// [`check_args`], exiting 2 with the error on an unknown argument.
+pub fn reject_unknown(args: &[String], values: &[&str], switches: &[&str]) {
+    check_args(args, values, switches).unwrap_or_else(|e| exit_usage(e));
 }
 
 /// [`parse_workers`], exiting 2 with the error on a malformed value.
@@ -426,11 +435,6 @@ pub fn trials_flag(args: &[String], default: u32) -> u32 {
 /// [`parse_campaign`], exiting 2 with the error on a malformed value.
 pub fn campaign_flags(args: &[String]) -> RunPolicy {
     parse_campaign(args).unwrap_or_else(|e| exit_usage(e))
-}
-
-/// [`parse_adaptive`], exiting 2 with the error on a malformed value.
-pub fn adaptive_flags(args: &[String]) -> Option<AdaptivePolicy> {
-    parse_adaptive(args).unwrap_or_else(|e| exit_usage(e))
 }
 
 /// [`parse_designs`], exiting 2 with the error on a malformed value.
@@ -691,24 +695,35 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_flag_parses_alpha_and_conflicts_with_kill_after() {
-        assert_eq!(parse_adaptive(&args(&["prog"])), Ok(None));
-        let bare = parse_adaptive(&args(&["prog", "--adaptive"]))
-            .expect("parses")
-            .expect("armed");
-        assert_eq!(bare.alpha, AdaptivePolicy::default().alpha);
-        let tuned = parse_adaptive(&args(&["prog", "--adaptive=0.05"]))
-            .expect("parses")
-            .expect("armed");
-        assert_eq!(tuned.alpha, 0.05);
-        for bad in ["--adaptive=0", "--adaptive=1", "--adaptive=lots"] {
-            assert!(parse_adaptive(&args(&["prog", bad]))
-                .expect_err("rejected")
-                .contains("alpha in (0, 1)"));
+    fn unknown_arguments_are_named() {
+        let ok = args(&[
+            "prog",
+            "--trials",
+            "50",
+            "--extended",
+            "--workers",
+            "2",
+            "--oracle=25",
+            "--inject-corruption",
+            "--metrics",
+            "m.json",
+        ]);
+        assert_eq!(check_args(&ok, &["--trials"], &["--extended"]), Ok(()));
+        // A value is consumed by its flag, even when it looks like a flag.
+        assert_eq!(
+            check_args(&args(&["prog", "--events", "--odd-name"]), &[], &[]),
+            Ok(())
+        );
+        for (bad, named) in [
+            (&["prog", "--trail", "50"][..], "\"--trail\""),
+            (&["prog", "--workers=2"], "\"--workers=2\""),
+            (&["prog", "--trials", "5", "7"], "\"7\""),
+            (&["prog", "--extended"], "\"--extended\""),
+            (&["prog", "--oracles"], "\"--oracles\""),
+        ] {
+            let err = check_args(&args(bad), &["--trials"], &[]).expect_err("rejected");
+            assert_eq!(err, format!("unknown argument {named}"), "{bad:?}");
         }
-        let err = parse_adaptive(&args(&["prog", "--adaptive", "--kill-after", "2"]))
-            .expect_err("rejected");
-        assert!(err.contains("conflicts with --kill-after"), "{err}");
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! bound a campaign's wall-clock time: on expiry — or on SIGINT/SIGTERM —
 //! the drivers stop claiming work, drain, flush the checkpoint, render a
 //! partial report with `PARTIAL`/`TIMEOUT` cell markers, and exit with
-//! `sectlb_secbench::supervisor::EXIT_BUDGET`. Where supported,
-//! `--adaptive[=ALPHA]` stops each cell's trials early once its verdict
-//! is statistically settled, without ever changing a verdict.
+//! `sectlb_secbench::supervisor::EXIT_BUDGET`. A driver exits 2 on any
+//! argument it does not parse.
 //!
 //! Every driver additionally accepts the observability flags
 //! (`--events PATH` for the versioned JSONL event stream, `--metrics

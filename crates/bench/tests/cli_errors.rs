@@ -136,40 +136,60 @@ fn malformed_budget_flags_are_rejected() {
     }
 }
 
-#[test]
-fn adaptive_alpha_and_conflicts_are_rejected() {
-    let out = run(env!("CARGO_BIN_EXE_table4"), &["--adaptive=1.5"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("alpha in (0, 1)"), "{}", stderr(&out));
+/// The eight drivers that parse their flags through `sectlb_bench::cli`.
+const CAMPAIGN_DRIVERS: [&str; 8] = [
+    env!("CARGO_BIN_EXE_table4"),
+    env!("CARGO_BIN_EXE_table5"),
+    env!("CARGO_BIN_EXE_mitigations"),
+    env!("CARGO_BIN_EXE_ablation_rf"),
+    env!("CARGO_BIN_EXE_ablation_sp_ways"),
+    env!("CARGO_BIN_EXE_attack_success"),
+    env!("CARGO_BIN_EXE_fig7"),
+    env!("CARGO_BIN_EXE_table7_eval"),
+];
 
-    let out = run(
-        env!("CARGO_BIN_EXE_table4"),
-        &["--adaptive", "--checkpoint", "ck.txt", "--kill-after", "2"],
-    );
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr(&out).contains("--adaptive conflicts with --kill-after"),
-        "{}",
-        stderr(&out)
-    );
+#[test]
+fn every_campaign_driver_rejects_retired_and_misspelt_flags() {
+    // `--adaptive` is a retired flag; `--trail` a typo of `--trials`.
+    // Either must stop the driver before it runs a campaign.
+    for bin in CAMPAIGN_DRIVERS {
+        for args in [&["--adaptive"][..], &["--trail", "50"]] {
+            let out = run(bin, args);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            let err = stderr(&out);
+            assert!(
+                err.contains(&format!("unknown argument {:?}", args[0])),
+                "{bin} {args:?}: {err}"
+            );
+            assert!(
+                out.stdout.is_empty(),
+                "{bin} {args:?}: no output before the error"
+            );
+        }
+    }
 }
 
 #[test]
-fn drivers_without_adaptive_verdicts_reject_the_flag() {
-    for bin in [
-        env!("CARGO_BIN_EXE_table5"),
-        env!("CARGO_BIN_EXE_attack_success"),
-        env!("CARGO_BIN_EXE_table7_eval"),
-        env!("CARGO_BIN_EXE_ablation_sp_ways"),
-        env!("CARGO_BIN_EXE_fig7"),
+fn preempted_shards_exit_budget_without_panic_reports() {
+    // Every shard overruns a 1 ms cell deadline. Preemption is not a
+    // fault: the cells render TIMEOUT, the driver exits 7, and stderr
+    // carries no panic report.
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_ablation_rf"),
+            &["--trials", "3000", "--cell-deadline-ms", "1"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_table7_eval"),
+            &["--trials", "5000", "--oracle", "--cell-deadline-ms", "1"],
+        ),
     ] {
-        let out = run(bin, &["--adaptive"]);
-        assert_eq!(out.status.code(), Some(2), "{bin}");
-        assert!(
-            stderr(&out).contains("does not support --adaptive"),
-            "{bin}: {}",
-            stderr(&out)
-        );
+        let out = run(bin, args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(7), "{bin}: {err}");
+        assert!(!err.contains("panicked at"), "{bin}: {err}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("TIMEOUT"), "{bin}: {stdout}");
     }
 }
 

@@ -26,7 +26,7 @@ use sectlb_tlb::InvalidationPolicy;
 
 use crate::generate::{ATTACKER_ASID, VICTIM_ASID};
 use crate::oracle::OracleConfig;
-use crate::run::{count_simulated, Measurement, TrialTemplate};
+use crate::run::{run_trials, Measurement};
 use crate::spec::{Placement, SBASE};
 
 /// One step of an extended benchmark.
@@ -222,54 +222,33 @@ pub fn run_extended(bench: &ExtBenchmark, design: ExtDesign, trials: u32) -> Mea
 /// point of the `table7_eval` driver's `--oracle` mode. The per-trial
 /// seed depends only on the trial index.
 ///
-/// Like [`crate::run::run_trial_range`], the design's machine is built
-/// once and every trial runs on a reseeded copy; a seed-free machine
-/// with no oracle configured runs each placement once and credits the
-/// outcome to every trial. An armed trial runs the shadow checker in
-/// lockstep with a `tag|benchmark|design|placement|seed` reporting
-/// context, and gets its planned corruption if any.
+/// The trials run through the same loop as
+/// [`crate::run::run_trial_range`]: the design's machine is built once
+/// and every trial runs on a reseeded copy, a seed-free machine with no
+/// oracle configured runs each placement once, and a cell deadline can
+/// preempt the run between trials. An armed trial runs the shadow
+/// checker in lockstep with a `tag|benchmark|design|placement|seed`
+/// reporting context, and gets its planned corruption if any.
 pub fn run_extended_oracle(
     bench: &ExtBenchmark,
     design: ExtDesign,
     trials: u32,
     oracle: Option<OracleConfig>,
 ) -> Measurement {
-    if trials == 0 {
-        return Measurement::ZERO;
-    }
-    let template = TrialTemplate::new(oracle, |oracle_on| build_machine(design, oracle_on));
-    let placements = [Placement::Mapped, Placement::NotMapped];
-    if template.runs_once() {
-        let [mapped, not_mapped] = placements
-            .map(|placement| u32::from(run_trial(template.once(), bench, placement)) * trials);
-        count_simulated(1);
-        return Measurement {
-            trials,
-            n_mapped_miss: mapped,
-            n_not_mapped_miss: not_mapped,
-        };
-    }
-    let mut misses = [0u32; 2];
-    for t in 0..trials {
-        let seed = (u64::from(t) << 4) ^ 0x0ec4_eded;
-        for (count, (placement, seed)) in misses
-            .iter_mut()
-            .zip(placements.into_iter().zip([seed, seed ^ 1]))
-        {
-            let m = template.trial(seed, || {
-                format!("{}|{}|{placement:?}", bench.name, design.label())
-            });
-            if run_trial(m, bench, placement) {
-                *count += 1;
+    run_trials(
+        oracle,
+        |oracle_on| build_machine(design, oracle_on),
+        0..trials,
+        |placement, t| {
+            let seed = (u64::from(t) << 4) ^ 0x0ec4_eded;
+            match placement {
+                Placement::Mapped => seed,
+                Placement::NotMapped => seed ^ 1,
             }
-        }
-    }
-    count_simulated(u64::from(trials));
-    Measurement {
-        trials,
-        n_mapped_miss: misses[0],
-        n_not_mapped_miss: misses[1],
-    }
+        },
+        |placement| format!("{}|{}|{placement:?}", bench.name, design.label()),
+        |m, placement| run_trial(m, bench, placement),
+    )
 }
 
 #[cfg(test)]

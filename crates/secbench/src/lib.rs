@@ -24,10 +24,6 @@
 //!   wall-clock deadlines, per-shard timeouts with cooperative
 //!   preemption, and signal-safe graceful shutdown, all draining through
 //!   the same flush-checkpoint-render-partial path;
-//! - [`adaptive`] — sequential early stopping: a Hoeffding-bound
-//!   confidence rectangle on `(p1*, p2*)` stops a cell's trials as soon
-//!   as its defended/vulnerable verdict is statistically settled, while
-//!   provably agreeing with the exhaustive run;
 //! - [`checkpoint`] — crash-safe campaign checkpoints (checksummed
 //!   frame, temp-file + atomic-rename + directory fsync, and a
 //!   previous-good-generation chain) so a killed campaign resumes
@@ -67,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod capacity;
 pub mod channel;
 pub mod checkpoint;
@@ -85,7 +80,6 @@ pub mod supervisor;
 pub mod telemetry;
 pub mod theory;
 
-pub use adaptive::{measure_cells_adaptive, AdaptiveOutcome, AdaptivePolicy, SequentialTest};
 pub use capacity::binary_channel_capacity;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 pub use iofault::{IoFault, IoFaultKind, IoInjector};

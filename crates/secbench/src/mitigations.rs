@@ -20,7 +20,6 @@ use sectlb_sim::machine::TlbDesign;
 use sectlb_sim::os::FlushPolicy;
 use sectlb_tlb::config::TlbConfig;
 
-use crate::adaptive::{run_vulnerability_adaptive_with_builder, SequentialTest};
 use crate::run::{run_vulnerability_with_builder, Measurement, TrialSettings};
 
 /// A mitigation approach from Section 2.3 (or one of the paper's designs).
@@ -156,43 +155,6 @@ pub fn defended_count(mitigation: Mitigation, settings: &TrialSettings, threshol
         .iter()
         .filter(|v| run_mitigation(v, mitigation, settings).defends(threshold))
         .count()
-}
-
-/// [`run_mitigation`] with adaptive early stopping: trials stop as soon
-/// as the sequential test settles the row's defended/vulnerable verdict.
-pub fn run_mitigation_adaptive(
-    vulnerability: &Vulnerability,
-    mitigation: Mitigation,
-    settings: &TrialSettings,
-    test: &SequentialTest,
-) -> Measurement {
-    let mut s = *settings;
-    s.config = mitigation.config();
-    run_vulnerability_adaptive_with_builder(vulnerability, mitigation.design(), &s, test, &|b| {
-        b.flush_policy(mitigation.flush_policy())
-    })
-}
-
-/// [`defended_count`] with adaptive early stopping, returning the count
-/// plus the total trials x 2 placements saved across the 24 rows.
-///
-/// The verdicts agree with [`defended_count`]'s by construction: the
-/// sequential test only settles a cell when its whole confidence
-/// rectangle sits on one side of the threshold, and the test's
-/// `threshold` must equal the exhaustive comparison's.
-pub fn defended_count_adaptive(
-    mitigation: Mitigation,
-    settings: &TrialSettings,
-    test: &SequentialTest,
-) -> (usize, u64) {
-    let mut defended = 0;
-    let mut saved = 0;
-    for v in enumerate_vulnerabilities() {
-        let m = run_mitigation_adaptive(&v, mitigation, settings, test);
-        defended += usize::from(m.defends(test.threshold));
-        saved += u64::from(settings.trials - m.trials);
-    }
-    (defended, saved)
 }
 
 #[cfg(test)]

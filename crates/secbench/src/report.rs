@@ -10,7 +10,6 @@ use std::num::NonZeroUsize;
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_sim::machine::TlbDesign;
 
-use crate::adaptive::{measure_cells_adaptive, AdaptivePolicy};
 use crate::resilience::{
     measure_cells_resilient, CampaignError, CellGap, CellOutcome, PoolStats, RunPolicy,
     ShardFailure, StallEvent, EXIT_QUARANTINED,
@@ -285,30 +284,6 @@ pub struct PartialCell {
     pub gap: CellGap,
 }
 
-/// The adaptive campaign's early-stopping accounting: which cells were
-/// settled before their full trial budget and what that saved.
-/// Deterministic — the stopping points are pure functions of the trial
-/// prefixes — so it renders on stdout with the table.
-#[derive(Debug, Clone)]
-pub struct AdaptiveSummary {
-    /// Confidence parameter of the sequential test.
-    pub alpha: f64,
-    /// The exhaustive per-cell budget being truncated.
-    pub full_trials: u32,
-    /// `(row, col, trials used)` for every early-stopped cell.
-    pub stopped: Vec<(usize, usize, u32)>,
-}
-
-impl AdaptiveSummary {
-    /// Total per-placement trials the early stops avoided.
-    pub fn saved(&self) -> u64 {
-        self.stopped
-            .iter()
-            .map(|(_, _, used)| u64::from(self.full_trials.saturating_sub(*used)))
-            .sum()
-    }
-}
-
 /// A Table 4 campaign run through the fault-tolerant engine: the table,
 /// the quarantine report, and the pool's resilience counters.
 #[derive(Debug)]
@@ -331,8 +306,6 @@ pub struct CampaignReport {
     pub stalls: Vec<StallEvent>,
     /// Why the supervisor stopped the campaign early, if it did.
     pub stop: Option<StopReason>,
-    /// Early-stopping accounting when the campaign ran `--adaptive`.
-    pub adaptive: Option<AdaptiveSummary>,
 }
 
 impl CampaignReport {
@@ -369,7 +342,7 @@ impl CampaignReport {
     /// The deterministic per-cell detail sections shared by
     /// [`CampaignReport::render`] and
     /// [`CampaignReport::render_with_suspects`]: quarantine reports,
-    /// budget gaps, the stop reason, and the adaptive accounting.
+    /// budget gaps and the stop reason.
     fn render_details(&self, out: &mut String) {
         for q in &self.quarantined {
             let _ = writeln!(
@@ -391,28 +364,6 @@ impl CampaignReport {
         }
         if let Some(stop) = self.stop {
             let _ = writeln!(out, "campaign stopped early: {stop}");
-        }
-        if let Some(adaptive) = &self.adaptive {
-            let _ = writeln!(
-                out,
-                "adaptive early stopping (alpha = {}): {} of {} cells settled early, saving {} \
-                 trials x 2 placements",
-                adaptive.alpha,
-                adaptive.stopped.len(),
-                self.table.rows.len() * self.table.designs.len(),
-                adaptive.saved()
-            );
-            for &(r, c, used) in &adaptive.stopped {
-                let _ = writeln!(
-                    out,
-                    "adaptive stop [{} on {} TLB]: settled after {} of {} trials (saved {})",
-                    self.table.rows[r].vulnerability,
-                    self.table.designs[c],
-                    used,
-                    adaptive.full_trials,
-                    adaptive.full_trials.saturating_sub(used)
-                );
-            }
         }
     }
 
@@ -490,9 +441,7 @@ pub fn table4_cells_for(designs: &[TlbDesign]) -> Vec<(Vulnerability, TlbDesign)
 /// Worker panics are isolated and deterministically retried, completed
 /// shards are checkpointed per `policy`, and cells whose shards keep
 /// failing are quarantined in the report instead of killing the
-/// campaign. With `adaptive`, each cell stops as soon as the sequential
-/// test settles its verdict (every verdict matches the exhaustive run's)
-/// and the report carries the [`AdaptiveSummary`] accounting.
+/// campaign.
 ///
 /// The table is bitwise identical for every worker count. With
 /// [`TlbDesign::ALL`] its rendering is byte-identical to the classic
@@ -502,83 +451,16 @@ pub fn build_table4(
     settings: &TrialSettings,
     workers: NonZeroUsize,
     policy: &RunPolicy,
-    adaptive: Option<AdaptivePolicy>,
     telemetry: &Telemetry,
 ) -> Result<CampaignReport, CampaignError> {
     let cells = table4_cells_for(designs);
-    let Some(adaptive) = adaptive else {
-        let outcome =
-            measure_cells_resilient(&cells, settings, workers, policy, telemetry, &|b| b)?;
-        return Ok(assemble_campaign_report(
-            designs,
-            &cells,
-            settings,
-            outcome.cells,
-            outcome.stats,
-            outcome.resumed,
-            outcome.stalls,
-            outcome.stop,
-            None,
-        ));
-    };
-    let outcome = measure_cells_adaptive(
-        &cells,
-        settings,
-        workers,
-        policy,
-        &adaptive,
-        telemetry,
-        &|b| b,
-    )?;
-    let ncols = designs.len();
-    let stopped: Vec<(usize, usize, u32)> = outcome
-        .cells
-        .iter()
-        .enumerate()
-        .filter_map(|(i, cell)| match cell {
-            CellOutcome::Measured(m) if m.trials < outcome.full_trials => {
-                Some((i / ncols, i % ncols, m.trials))
-            }
-            _ => None,
-        })
-        .collect();
-    let summary = AdaptiveSummary {
-        alpha: adaptive.alpha,
-        full_trials: outcome.full_trials,
-        stopped,
-    };
-    Ok(assemble_campaign_report(
-        designs,
-        &cells,
-        settings,
-        outcome.cells,
-        outcome.stats,
-        outcome.resumed,
-        outcome.stalls,
-        outcome.stop,
-        Some(summary),
-    ))
-}
-
-/// Folds a cell-outcome list into the [`CampaignReport`] shape shared by
-/// the exhaustive and adaptive campaigns.
-#[allow(clippy::too_many_arguments)]
-fn assemble_campaign_report(
-    designs: &[TlbDesign],
-    cells: &[(Vulnerability, TlbDesign)],
-    settings: &TrialSettings,
-    outcomes: Vec<CellOutcome>,
-    stats: PoolStats,
-    resumed: usize,
-    stalls: Vec<StallEvent>,
-    stop: Option<StopReason>,
-    adaptive: Option<AdaptiveSummary>,
-) -> CampaignReport {
+    let outcome = measure_cells_resilient(&cells, settings, workers, policy, telemetry, &|b| b)?;
     let params = TheoryParams::default();
     let ncols = designs.len();
     let mut quarantined = Vec::new();
     let mut partial_cells = Vec::new();
-    let measurements: Vec<Measurement> = outcomes
+    let measurements: Vec<Measurement> = outcome
+        .cells
         .iter()
         .enumerate()
         .map(|(i, cell)| match cell {
@@ -623,7 +505,7 @@ fn assemble_campaign_report(
                 .collect(),
         })
         .collect();
-    CampaignReport {
+    Ok(CampaignReport {
         table: Table4 {
             rows,
             trials: settings.trials,
@@ -631,12 +513,11 @@ fn assemble_campaign_report(
         },
         quarantined,
         partial: partial_cells,
-        stats,
-        resumed,
-        stalls,
-        stop,
-        adaptive,
-    }
+        stats: outcome.stats,
+        resumed: outcome.resumed,
+        stalls: outcome.stalls,
+        stop: outcome.stop,
+    })
 }
 
 #[cfg(test)]
@@ -655,7 +536,6 @@ mod tests {
             &settings,
             workers,
             &RunPolicy::default(),
-            None,
             &Telemetry::disabled(),
         )
         .expect("clean campaign")

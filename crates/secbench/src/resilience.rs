@@ -60,7 +60,8 @@ use sectlb_sim::machine::{MachineBuilder, TlbDesign};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, RecoveredLoad};
 use crate::iofault::{IoFault, IoInjector};
 use crate::run::{
-    run_trial_range, splitmix64, vulnerability_code, Measurement, TrialCell, TrialSettings,
+    run_trial_range, splitmix64, trial_pairs, vulnerability_code, Measurement, TrialCell,
+    TrialSettings,
 };
 use crate::scheduler::StealQueues;
 use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor};
@@ -77,11 +78,11 @@ pub const TRIALS_PER_SHARD: u32 = 25;
 pub struct WorkerStats {
     /// Shards this worker completed.
     pub shards: usize,
-    /// Trials (per placement) this worker executed.
+    /// Trial pairs this worker credited to measurements, counted by the
+    /// trial loop for completed shard attempts only.
     pub trials: u64,
     /// Trial pairs this worker actually simulated. Trails `trials` when
-    /// seed-free shards credit one simulated pair to every trial (see
-    /// [`crate::run::simulated_pairs`]).
+    /// seed-free shards credit one simulated pair to every trial.
     pub simulated: u64,
     /// Time this worker spent executing shards (excludes queue idling).
     pub busy: Duration,
@@ -108,9 +109,6 @@ pub struct PoolStats {
     /// Shards preempted mid-flight by the per-shard `--cell-deadline-ms`
     /// bound. Always 0 without a budget.
     pub preempted: usize,
-    /// Trials the adaptive early-stopping rule avoided running (always 0
-    /// on exhaustive campaigns).
-    pub trials_saved: u64,
 }
 
 impl PoolStats {
@@ -197,12 +195,6 @@ impl PoolStats {
                 self.skipped, self.preempted
             ));
         }
-        if self.trials_saved > 0 {
-            line.push_str(&format!(
-                "; adaptive: {} trials x 2 placements saved",
-                self.trials_saved
-            ));
-        }
         let stolen = self.stolen();
         if stolen > 0 {
             line.push_str(&format!("; work stealing: {stolen} shards stolen"));
@@ -232,28 +224,6 @@ pub(crate) fn plan_shards(cells: usize, trials: u32) -> Vec<Shard> {
         }
     }
     shards
-}
-
-/// Spreads the campaign's total trial count over the workers
-/// proportionally to the shards each one completed (the queue hands out
-/// equal-sized shards, so this matches what each worker actually ran up
-/// to the final ragged shard).
-pub(crate) fn distribute_trial_counts(stats: &mut PoolStats, shards: &[Shard]) {
-    let total: u64 = shards.iter().map(|s| u64::from(s.hi - s.lo)).sum();
-    let done: usize = stats.workers.iter().map(|w| w.shards).sum();
-    if done == 0 {
-        return;
-    }
-    let mut assigned = 0;
-    let worker_count = stats.workers.len();
-    for (i, w) in stats.workers.iter_mut().enumerate() {
-        if i + 1 == worker_count {
-            w.trials = total - assigned;
-        } else {
-            w.trials = total * w.shards as u64 / done as u64;
-            assigned += w.trials;
-        }
-    }
 }
 
 /// Exit code drivers use when a campaign completed but quarantined at
@@ -628,8 +598,7 @@ struct Collector<R> {
 /// resume restores, claim/complete/retry/quarantine/preempt/skip,
 /// checkpoint flushes (pass [`Telemetry::disabled`] for none).
 /// Campaign-level start/stop events belong to the *caller*, which knows
-/// the driver identity; this also keeps the adaptive scheduler's
-/// per-round engine runs from emitting nested campaign envelopes.
+/// the driver identity.
 pub fn run_sharded_resilient<T, R, F>(
     tasks: &[T],
     workers: NonZeroUsize,
@@ -860,9 +829,9 @@ where
                 supervisor::set_preempt_flag(Some(preempt_flag.clone()));
             }
             let t0 = Instant::now();
-            let simulated_before = crate::run::simulated_pairs();
             let mut attempt = 0u32;
             let outcome = loop {
+                let before = trial_pairs();
                 let run = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(plan) = &policy.faults {
                         plan.inject(i, attempt);
@@ -870,7 +839,14 @@ where
                     f(task)
                 }));
                 match run {
-                    Ok(r) => break ShardOutcome::Done(r),
+                    Ok(r) => {
+                        // Only a completed attempt's trials enter a
+                        // measurement, so only its pairs are counted.
+                        let after = trial_pairs();
+                        stats.trials += after.credited - before.credited;
+                        stats.simulated += after.simulated - before.simulated;
+                        break ShardOutcome::Done(r);
+                    }
                     Err(payload) => {
                         if payload.downcast_ref::<ShardPreempted>().is_some() {
                             // Preemption is not a fault: no retry, no
@@ -905,7 +881,6 @@ where
             watch_slot.started.store(0, Ordering::Release);
             stats.busy += t0.elapsed();
             stats.shards += 1;
-            stats.simulated += crate::run::simulated_pairs() - simulated_before;
             if telemetry.is_armed() {
                 match &outcome {
                     ShardOutcome::Done(_) => {
@@ -1095,7 +1070,6 @@ where
             .iter()
             .filter(|r| matches!(r, ShardOutcome::TimedOut(_)))
             .count(),
-        trials_saved: 0,
     };
     Ok(ResilientRun {
         results,
@@ -1315,20 +1289,9 @@ pub fn measure_cells_resilient(
         })
         .collect();
 
-    let mut stats = run.stats;
-    // Trial accounting covers only the shards fully executed this run
-    // (resumed shards did their trials in a previous process; preempted
-    // shards discard theirs).
-    let executed: Vec<_> = shards
-        .iter()
-        .zip(&run.results)
-        .filter(|(_, r)| r.is_done())
-        .map(|(s, _)| *s)
-        .collect();
-    distribute_trial_counts(&mut stats, &executed);
     Ok(CampaignOutcome {
         cells: outcomes,
-        stats,
+        stats: run.stats,
         resumed: run.resumed,
         stalls: run.stalls,
         stop: run.stop,

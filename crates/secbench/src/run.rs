@@ -283,7 +283,7 @@ fn build_machine(
 /// machine as built, plus — only when the campaign configures the shadow
 /// oracle — the same machine built with the oracle on, for the trials
 /// the oracle arms.
-pub(crate) struct TrialTemplate {
+struct TrialTemplate {
     plain: Machine,
     armed: Option<Machine>,
     oracle: Option<OracleConfig>,
@@ -291,10 +291,7 @@ pub(crate) struct TrialTemplate {
 
 impl TrialTemplate {
     /// Builds the template machines with `build(oracle_on)`.
-    pub(crate) fn new(
-        oracle: Option<OracleConfig>,
-        build: impl Fn(bool) -> Machine,
-    ) -> TrialTemplate {
+    fn new(oracle: Option<OracleConfig>, build: impl Fn(bool) -> Machine) -> TrialTemplate {
         TrialTemplate {
             plain: build(false),
             armed: oracle.map(|_| build(true)),
@@ -305,7 +302,7 @@ impl TrialTemplate {
     /// Whether one simulation per placement stands for every trial: the
     /// machine is seed-free and no oracle sampling or corruption
     /// injection (both chosen per trial seed) is configured.
-    pub(crate) fn runs_once(&self) -> bool {
+    fn runs_once(&self) -> bool {
         self.oracle.is_none() && self.plain.is_seed_free()
     }
 
@@ -313,7 +310,7 @@ impl TrialTemplate {
     /// When the oracle arms this trial, the copy comes from the armed
     /// template and gets a `tag|{cell}|placement|seed` reporting context
     /// plus the trial's planned corruption, if any.
-    pub(crate) fn trial(&self, seed: u64, cell: impl FnOnce() -> String) -> Machine {
+    fn trial(&self, seed: u64, cell: impl FnOnce() -> String) -> Machine {
         let oracle = self.oracle.filter(|o| o.armed(seed));
         let mut m = match (oracle, &self.armed) {
             (Some(_), Some(armed)) => armed.clone(),
@@ -331,7 +328,7 @@ impl TrialTemplate {
 
     /// A copy of the template for the single run of a
     /// [`TrialTemplate::runs_once`] template.
-    pub(crate) fn once(&self) -> Machine {
+    fn once(&self) -> Machine {
         self.plain.clone()
     }
 }
@@ -345,22 +342,86 @@ fn timed_step_slow(mut m: Machine, program: &[Instr]) -> bool {
     reads[1] > reads[0]
 }
 
+/// Trial pairs (one mapped plus one not-mapped run) counted on one
+/// thread by the trial loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct TrialPairs {
+    /// Pairs whose outcome entered a measurement.
+    pub(crate) credited: u64,
+    /// Pairs actually simulated. A seed-free shard credits all its trials
+    /// to one simulated pair, so this trails `credited`.
+    pub(crate) simulated: u64,
+}
+
 thread_local! {
-    /// Trial pairs simulated on this thread (see [`simulated_pairs`]).
-    static SIMULATED_PAIRS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's running [`TrialPairs`] (see [`trial_pairs`]).
+    static TRIAL_PAIRS: Cell<TrialPairs> = const {
+        Cell::new(TrialPairs { credited: 0, simulated: 0 })
+    };
 }
 
-/// Trial pairs (one mapped plus one not-mapped run) this thread has
-/// simulated so far. A seed-free shard credits many trials to one
-/// simulated pair, so this trails the credited trial count; the engine
-/// reads it around each shard to report both.
-pub fn simulated_pairs() -> u64 {
-    SIMULATED_PAIRS.with(Cell::get)
+/// The trial pairs this thread has credited and simulated so far. The
+/// engine reads it around each shard to report both.
+pub(crate) fn trial_pairs() -> TrialPairs {
+    TRIAL_PAIRS.with(Cell::get)
 }
 
-/// Adds `pairs` to this thread's [`simulated_pairs`] count.
-pub(crate) fn count_simulated(pairs: u64) {
-    SIMULATED_PAIRS.with(|c| c.set(c.get() + pairs));
+/// The one trial loop: measures trials `range` of one cell, each placement
+/// of each trial on a copy of the cell's machine.
+///
+/// `build(oracle_on)` builds the machine once (see [`TrialTemplate`]);
+/// `seed(placement, trial)` gives a trial's seed, `context(placement)`
+/// names the cell in an armed trial's oracle context, and
+/// `slow(machine, placement)` runs one trial and reports whether its timed
+/// step was slow. A seed-free machine with no oracle configured runs each
+/// placement once and credits the outcome to the whole range.
+pub(crate) fn run_trials(
+    oracle: Option<OracleConfig>,
+    build: impl Fn(bool) -> Machine,
+    range: std::ops::Range<u32>,
+    seed: impl Fn(Placement, u32) -> u64,
+    context: impl Fn(Placement) -> String,
+    slow: impl Fn(Machine, Placement) -> bool,
+) -> Measurement {
+    let trials = range.len() as u32;
+    if trials == 0 {
+        return Measurement::ZERO;
+    }
+    let template = TrialTemplate::new(oracle, build);
+    let placements = [Placement::Mapped, Placement::NotMapped];
+    let (misses, simulated) = if template.runs_once() {
+        crate::supervisor::preempt_point();
+        let misses = placements.map(|p| if slow(template.once(), p) { trials } else { 0 });
+        (misses, 1)
+    } else {
+        let mut misses = [0u32; 2];
+        for t in range {
+            // Cooperative cell-deadline preemption: unwinds with a typed
+            // payload the engine reports as TIMEOUT. A no-op unless the
+            // engine armed this thread's flag. Sits between trials, so a
+            // preemption never splits a trial's batch mid-run.
+            crate::supervisor::preempt_point();
+            for (count, placement) in misses.iter_mut().zip(placements) {
+                let m = template.trial(seed(placement, t), || context(placement));
+                if slow(m, placement) {
+                    *count += 1;
+                }
+            }
+        }
+        (misses, u64::from(trials))
+    };
+    TRIAL_PAIRS.with(|c| {
+        let p = c.get();
+        c.set(TrialPairs {
+            credited: p.credited + u64::from(trials),
+            simulated: p.simulated + simulated,
+        });
+    });
+    Measurement {
+        trials,
+        n_mapped_miss: misses[0],
+        n_not_mapped_miss: misses[1],
+    }
 }
 
 /// Measures one vulnerability on one design: the plain single-cell loop
@@ -433,63 +494,31 @@ pub fn run_trial_range(
     range: std::ops::Range<u32>,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
 ) -> Measurement {
-    let trials = range.len() as u32;
-    if trials == 0 {
-        return Measurement::ZERO;
-    }
     let v = &cell.spec.vulnerability;
-    let template = TrialTemplate::new(settings.oracle, |oracle_on| {
-        build_machine(&cell.spec, cell.design, settings.rf_eviction, &|b| {
-            let b = customize(b);
-            if oracle_on {
-                b.oracle(true)
-            } else {
-                b
-            }
-        })
-        .unwrap_or_else(|e| panic!("{e}"))
-    });
-    let placements = [
-        (Placement::Mapped, &cell.mapped),
-        (Placement::NotMapped, &cell.not_mapped),
-    ];
-    if template.runs_once() {
-        crate::supervisor::preempt_point();
-        let [mapped, not_mapped] = placements.map(|(_, program)| {
-            if timed_step_slow(template.once(), program) {
-                trials
-            } else {
-                0
-            }
-        });
-        count_simulated(1);
-        return Measurement {
-            trials,
-            n_mapped_miss: mapped,
-            n_not_mapped_miss: not_mapped,
-        };
-    }
-    let mut misses = [0u32; 2];
-    for t in range {
-        // Cooperative cell-deadline preemption: unwinds with a typed
-        // payload the engine reports as TIMEOUT. A no-op unless the
-        // engine armed this thread's flag. Sits between trials, so a
-        // preemption never splits a trial's batch mid-run.
-        crate::supervisor::preempt_point();
-        for (count, (placement, program)) in misses.iter_mut().zip(placements) {
-            let seed = derive_trial_seed(settings.base_seed, v, cell.design, placement, t);
-            let m = template.trial(seed, || format!("{v}|{}|{placement:?}", cell.design));
-            if timed_step_slow(m, program) {
-                *count += 1;
-            }
-        }
-    }
-    count_simulated(u64::from(trials));
-    Measurement {
-        trials,
-        n_mapped_miss: misses[0],
-        n_not_mapped_miss: misses[1],
-    }
+    run_trials(
+        settings.oracle,
+        |oracle_on| {
+            build_machine(&cell.spec, cell.design, settings.rf_eviction, &|b| {
+                let b = customize(b);
+                if oracle_on {
+                    b.oracle(true)
+                } else {
+                    b
+                }
+            })
+            .unwrap_or_else(|e| panic!("{e}"))
+        },
+        range,
+        |placement, t| derive_trial_seed(settings.base_seed, v, cell.design, placement, t),
+        |placement| format!("{v}|{}|{placement:?}", cell.design),
+        |m, placement| {
+            let program = match placement {
+                Placement::Mapped => &cell.mapped,
+                Placement::NotMapped => &cell.not_mapped,
+            };
+            timed_step_slow(m, program)
+        },
+    )
 }
 
 #[cfg(test)]

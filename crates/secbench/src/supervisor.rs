@@ -206,9 +206,12 @@ pub fn preempt_point() {
             .is_some_and(|f| f.load(Ordering::Acquire))
     });
     if preempt {
-        // Disarm before unwinding so the panic path cannot re-trigger.
+        // Disarm before unwinding so the unwind path cannot re-trigger.
+        // `resume_unwind` skips the panic hook: a preemption is not a
+        // fault, so it prints no panic report; the engine's
+        // `catch_unwind` still catches it.
         set_preempt_flag(None);
-        std::panic::panic_any(ShardPreempted);
+        std::panic::resume_unwind(Box::new(ShardPreempted));
     }
 }
 

@@ -11,8 +11,7 @@
 //!   (JSONL), schema-versioned via the `"v"` field ([`SCHEMA_VERSION`])
 //!   and sequence-numbered per sink. The engine emits per-shard
 //!   claim/complete/retry/quarantine/preempt/skip events with wall-clock
-//!   nanoseconds, checkpoint flushes, and resume restores; the adaptive
-//!   scheduler emits early-stop decisions; drivers emit campaign
+//!   nanoseconds, checkpoint flushes, and resume restores; drivers emit campaign
 //!   start/stop (with the full settings fingerprint) and oracle
 //!   violations; the `replay` binary emits replay outcomes in the same
 //!   schema.
@@ -156,16 +155,6 @@ pub enum Event {
         path: String,
         /// The write error.
         error: String,
-    },
-    /// The adaptive sequential test settled a cell early (or the cell
-    /// exhausted its full budget).
-    AdaptiveStop {
-        /// Cell coordinates.
-        cell: String,
-        /// Trials (per placement) the cell ran.
-        trials: u64,
-        /// Trials (per placement) the early stop avoided.
-        saved: u64,
     },
     /// The shadow oracle caught a model violation in a cell.
     OracleViolation {
@@ -598,16 +587,6 @@ impl Envelope {
                 b.str("path", path);
                 b.str("error", error);
             }
-            Event::AdaptiveStop {
-                cell,
-                trials,
-                saved,
-            } => {
-                b.str("event", "adaptive_stop");
-                b.str("cell", cell);
-                b.num("trials", *trials);
-                b.num("saved", *saved);
-            }
             Event::OracleViolation { cell, violation } => {
                 b.str("event", "oracle_violation");
                 b.str("cell", cell);
@@ -773,14 +752,6 @@ impl Envelope {
                 Event::CheckpointWriteFailed {
                     path: str_field(&f, 3, "path")?,
                     error: str_field(&f, 4, "error")?,
-                }
-            }
-            "adaptive_stop" => {
-                expect_len(6)?;
-                Event::AdaptiveStop {
-                    cell: str_field(&f, 3, "cell")?,
-                    trials: num(&f, 4, "trials")?,
-                    saved: num(&f, 5, "saved")?,
                 }
             }
             "oracle_violation" => {
@@ -1021,15 +992,7 @@ pub fn render_metrics(
         "  \"phases\": {{\"setup_ns\": {}, \"campaign_ns\": {}, \"report_ns\": {}}},\n",
         phases.setup_ns, phases.campaign_ns, phases.report_ns
     ));
-    let zero = PoolStats {
-        wall: std::time::Duration::ZERO,
-        workers: Vec::new(),
-        quarantined: 0,
-        stalled: 0,
-        skipped: 0,
-        preempted: 0,
-        trials_saved: 0,
-    };
+    let zero = PoolStats::default();
     let s = stats.unwrap_or(&zero);
     let workers = s.workers.len();
     let wall_ns = s.wall.as_nanos() as u64;
@@ -1082,7 +1045,6 @@ pub fn render_metrics(
         s.skipped,
         s.preempted
     ));
-    out.push_str(&format!("  \"trial_pairs_saved\": {},\n", s.trials_saved));
     out.push_str(&format!(
         "  \"shard_latency_ns\": {{\"count\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \
          \"p99\": {}, \"max\": {}}},\n",
@@ -1190,11 +1152,6 @@ mod tests {
             Event::CheckpointWriteFailed {
                 path: "ck.txt".to_owned(),
                 error: "injected ENOSPC (--inject-io)".to_owned(),
-            },
-            Event::AdaptiveStop {
-                cell: "V3 on Sp TLB".to_owned(),
-                trials: 75,
-                saved: 425,
             },
             Event::OracleViolation {
                 cell: "table4|V1|Sa".to_owned(),
@@ -1313,7 +1270,6 @@ mod tests {
             stalled: 0,
             skipped: 2,
             preempted: 0,
-            trials_saved: 25,
         };
         let json = render_metrics(
             "table4",

@@ -1,21 +1,19 @@
-//! Integration tests of the resource-budgeted supervisor and adaptive
-//! early stopping.
+//! Integration tests of the resource-budgeted supervisor.
 //!
 //! The acceptance contract: a campaign stopped by its wall-clock budget
 //! is not an error — it drains, flushes its checkpoint, reports explicit
 //! `PARTIAL` cells, and a `--resume` completes it **bitwise-identical**
-//! to an uninterrupted run; adaptive early stopping saves trials while
-//! producing exactly the verdicts of the exhaustive run, independent of
-//! the worker count.
+//! to an uninterrupted run. A shard that overruns its cell deadline is
+//! preempted between trials and reported `TIMEOUT`, on every trial loop.
 
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
-use sectlb_secbench::adaptive::{measure_cells_adaptive, AdaptivePolicy};
 use sectlb_secbench::checkpoint::Checkpoint;
-use sectlb_secbench::report::{build_table4, table4_cells, DEFENDED_THRESHOLD};
+use sectlb_secbench::extended::{extended_benchmarks, run_extended, ExtDesign};
+use sectlb_secbench::report::{build_table4, table4_cells};
 use sectlb_secbench::resilience::{
     measure_cells_resilient, run_sharded_resilient, CellGap, CellOutcome, RunPolicy, ShardOutcome,
 };
@@ -194,7 +192,7 @@ fn budget_stopped_table4_renders_partial_markers_and_exits_budget_code() {
         },
         ..RunPolicy::default()
     };
-    let report = build_table4(&TlbDesign::ALL, &settings, workers(), &policy, None, &off())
+    let report = build_table4(&TlbDesign::ALL, &settings, workers(), &policy, &off())
         .expect("budget stop still renders a report");
     assert_eq!(report.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(report.partial.len(), table4_cells().len());
@@ -302,106 +300,34 @@ fn interrupted_runs_checkpoint_their_consumed_wall_clock() {
 }
 
 #[test]
-fn adaptive_verdicts_match_the_exhaustive_run_and_save_trials() {
-    // The golden Table 2 enumeration: all 24 vulnerabilities x 3 designs.
-    let cells = table4_cells();
-    let settings = TrialSettings {
-        trials: 40,
-        ..TrialSettings::default()
-    };
-    let exhaustive = measure_cells_resilient(
-        &cells,
-        &settings,
-        workers(),
-        &RunPolicy::default(),
-        &off(),
-        &|b| b,
-    )
-    .expect("exhaustive campaign");
-    let adaptive = measure_cells_adaptive(
-        &cells,
-        &settings,
-        workers(),
-        &RunPolicy::default(),
-        &AdaptivePolicy::default(),
-        &off(),
-        &|b| b,
-    )
-    .expect("adaptive campaign");
-    assert_eq!(adaptive.stop, None);
-
-    let verdicts = |outcomes: &[CellOutcome]| -> Vec<bool> {
-        measurements(outcomes)
-            .iter()
-            .map(|m| m.defends(DEFENDED_THRESHOLD))
-            .collect()
-    };
-    assert_eq!(
-        verdicts(&adaptive.cells),
-        verdicts(&exhaustive.cells),
-        "early stopping must never flip a defended/vulnerable verdict"
-    );
-    assert!(
-        adaptive.stats.trials_saved > 0,
-        "the clear-cut cells settle well before 40 trials"
-    );
-    let saved = adaptive.saved_per_cell();
-    assert_eq!(
-        saved.iter().map(|&s| u64::from(s)).sum::<u64>(),
-        adaptive.stats.trials_saved
-    );
-}
-
-#[test]
-fn adaptive_measurements_are_identical_for_every_worker_count() {
-    let cells = cells();
-    let settings = settings();
-    let runs: Vec<Vec<Measurement>> = [1usize, 3, 5]
-        .into_iter()
-        .map(|w| {
-            let run = measure_cells_adaptive(
-                &cells,
-                &settings,
-                NonZeroUsize::new(w).expect("nonzero"),
-                &RunPolicy::default(),
-                &AdaptivePolicy::default(),
-                &off(),
-                &|b| b,
-            )
-            .expect("adaptive campaign");
-            measurements(&run.cells)
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1], "1 vs 3 workers");
-    assert_eq!(runs[0], runs[2], "1 vs 5 workers");
-}
-
-#[test]
-fn adaptive_campaign_respects_the_outer_deadline() {
-    let cells = cells();
-    let settings = settings();
+fn overrunning_extended_shard_times_out() {
+    // The extended (Table 7) cells run through the same trial loop as
+    // Table 4, so a cell deadline preempts them between trials too. An
+    // RF cell's trials each draw a fresh seed; 200,000 of them take
+    // about half a second, far longer than the 1 ms deadline.
+    let bench = extended_benchmarks().swap_remove(0);
     let policy = RunPolicy {
         budget: BudgetPolicy {
-            deadline: Some(Duration::ZERO),
+            cell_deadline: Some(Duration::from_millis(1)),
             ..BudgetPolicy::default()
         },
         ..RunPolicy::default()
     };
-    let run = measure_cells_adaptive(
-        &cells,
-        &settings,
-        workers(),
+    let run = run_sharded_resilient(
+        &[ExtDesign::RfPrecise],
+        NonZeroUsize::MIN,
         &policy,
-        &AdaptivePolicy::default(),
+        0xe7,
+        &|d| d.label().to_owned(),
         &off(),
-        &|b| b,
+        |&d| run_extended(&bench, d, 200_000),
     )
-    .expect("budget stop is not an error");
-    assert_eq!(run.stop, Some(StopReason::DeadlineExpired));
+    .expect("a timeout is not an error");
     assert!(
-        run.cells
-            .iter()
-            .all(|c| matches!(c, CellOutcome::Partial { .. })),
-        "no rounds ran under a zero deadline"
+        matches!(run.results[..], [ShardOutcome::TimedOut(_)]),
+        "the extended shard must be preempted, got {:?}",
+        run.results
     );
+    assert_eq!(run.stats.preempted, 1);
+    assert_eq!(run.stats.trials(), 0, "a preempted shard credits no trials");
 }

@@ -49,8 +49,7 @@ fn off() -> Telemetry {
 }
 
 fn table4(settings: &TrialSettings, workers: NonZeroUsize, policy: &RunPolicy) -> CampaignReport {
-    build_table4(&TlbDesign::ALL, settings, workers, policy, None, &off())
-        .expect("campaign completes")
+    build_table4(&TlbDesign::ALL, settings, workers, policy, &off()).expect("campaign completes")
 }
 
 fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {

@@ -8,8 +8,9 @@
 //! serialization change breaks one of them and must bump
 //! [`sectlb_secbench::telemetry::SCHEMA_VERSION`].
 //!
-//! A third test runs a real campaign and checks that the metrics snapshot
-//! reports simulated trial pairs beside the credited ones.
+//! A third test runs real campaigns, over cells and over whole survey
+//! rows, and checks that the metrics snapshot reports simulated trial
+//! pairs beside the credited ones.
 
 use std::io::Write;
 use std::num::NonZeroUsize;
@@ -142,11 +143,6 @@ fn arb_event() -> impl Strategy<Value = Event> {
             done,
             tasks,
         }),
-        (s.clone(), n, n).prop_map(|(cell, trials, saved)| Event::AdaptiveStop {
-            cell,
-            trials,
-            saved,
-        }),
         (s.clone(), s.clone())
             .prop_map(|(cell, violation)| Event::OracleViolation { cell, violation }),
         (s.clone(), n, n, n).prop_map(|(reason, completed, total, wall_ns)| {
@@ -198,6 +194,7 @@ proptest! {
 #[test]
 fn metrics_report_simulated_pairs_beside_credited_ones() {
     use sectlb_model::enumerate_vulnerabilities;
+    use sectlb_secbench::mitigations::{defended_count, Mitigation};
     use sectlb_secbench::resilience::measure_cells_resilient;
     use sectlb_secbench::run::TrialSettings;
     use sectlb_secbench::telemetry::{render_metrics, PhaseTimings};
@@ -230,5 +227,38 @@ fn metrics_report_simulated_pairs_beside_credited_ones() {
         let json = render_metrics("table4", Some(&outcome.stats), PhaseTimings::default(), &[]);
         assert!(json.contains("\"trial_pairs\": 100,"), "{json}");
         assert!(json.contains("\"trial_pairs_simulated\": 52,"), "{json}");
+    }
+
+    // A mitigations-style campaign: each engine task is a whole survey
+    // row of 24 cells, not a trial range. Its credited pairs are counted
+    // where the trials run, so they are not 0.
+    let settings = TrialSettings {
+        trials: 10,
+        ..settings
+    };
+    let rows = [Mitigation::AsidTags, Mitigation::RandomFill];
+    for workers in [1, 2] {
+        let run = run_sharded_resilient(
+            &rows,
+            NonZeroUsize::new(workers).expect("nonzero"),
+            &RunPolicy::default(),
+            0x5eed,
+            &|m| m.label().to_owned(),
+            &Telemetry::disabled(),
+            |m| defended_count(*m, &settings, 0.06) as u64,
+        )
+        .expect("campaign completes");
+        // 2 rows x 24 cells x 10 trials credited. The seed-free SA row
+        // simulates one pair per cell; RF simulates every trial.
+        assert_eq!(run.stats.trials(), 480, "{workers} workers");
+        assert_eq!(run.stats.trials_simulated(), 24 + 240, "{workers} workers");
+        let json = render_metrics(
+            "mitigations",
+            Some(&run.stats),
+            PhaseTimings::default(),
+            &[],
+        );
+        assert!(json.contains("\"trial_pairs\": 480,"), "{json}");
+        assert!(json.contains("\"trial_pairs_simulated\": 264,"), "{json}");
     }
 }

@@ -42,7 +42,6 @@ fn table4_campaign(
         settings,
         workers,
         policy,
-        None,
         &Telemetry::disabled(),
     )
 }

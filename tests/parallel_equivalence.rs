@@ -30,7 +30,6 @@ fn campaign(workers: usize) -> CampaignReport {
         &settings(),
         NonZeroUsize::new(workers).expect("nonzero"),
         &RunPolicy::default(),
-        None,
         &Telemetry::disabled(),
     )
     .expect("clean campaign")

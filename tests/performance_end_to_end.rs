@@ -158,7 +158,6 @@ fn core_throughput_stays_above_the_committed_floor() {
             settings,
             std::num::NonZeroUsize::MIN,
             &RunPolicy::default(),
-            None,
             &Telemetry::disabled(),
         )
         .expect("clean campaign")

@@ -23,7 +23,6 @@ fn table4(trials: u32) -> Table4 {
         &settings(trials),
         std::num::NonZeroUsize::MIN,
         &RunPolicy::default(),
-        None,
         &Telemetry::disabled(),
     )
     .expect("clean campaign")
