@@ -31,7 +31,7 @@ fn main() {
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
     let oracle = cli::oracle_flags(&args, &policy, "ablation_rf");
-    let mut obs = Observability::from_args("ablation_rf", &args);
+    let mut obs = Observability::from_args("ablation_rf", &args, &policy);
     println!("RF TLB random-fill eviction ablation ({trials} trials per placement)\n");
     println!(
         "{:<48} {:>12} {:>12}",
@@ -69,12 +69,9 @@ fn main() {
     let capacities: Vec<Result<(f64, f64), &'static str>> = outcome
         .results
         .iter()
-        .map(|r| match r.done() {
-            Some(&pair) => Ok(pair),
-            None => Err(campaign::gap_marker(std::slice::from_ref(r)).unwrap_or("QUARANTINED")),
-        })
+        .map(|r| r.as_result().copied())
         .collect();
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     let summary = oracle::conclude("ablation_rf", Path::new("repro"));
     render(&vulns, &capacities, &summary);
     summary.eprint();

@@ -59,7 +59,7 @@ fn main() {
             perf_mpki(victim_ways, Some(SpecBenchmark::Povray)),
         )
     };
-    let mut obs = Observability::from_args("ablation_sp_ways", &args);
+    let mut obs = Observability::from_args("ablation_sp_ways", &args, &policy);
     let splits: Vec<usize> = (1..config.ways()).collect();
     obs.campaign_begin();
     let outcome = campaign::run_campaign(
@@ -74,20 +74,17 @@ fn main() {
     );
     obs.campaign_end();
     for (victim_ways, result) in splits.iter().zip(&outcome.results) {
-        match result.done() {
-            Some((capacity, alone, co)) => {
+        match result.as_result() {
+            Ok((capacity, alone, co)) => {
                 println!("{victim_ways:>11} {capacity:>16.3} {alone:>14.3} {co:>18.3}")
             }
-            None => {
-                let gap = campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUAR");
-                println!("{victim_ways:>11} {gap:>16} {gap:>14} {gap:>18}")
-            }
+            Err(gap) => println!("{victim_ways:>11} {gap:>16} {gap:>14} {gap:>18}"),
         }
     }
     print_reading();
     let summary = oracle::conclude("ablation_sp_ways", Path::new("repro"));
     print_suspects(&summary);
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));

@@ -6,6 +6,9 @@
 //! PATH] [--resume PATH] [--retries N] [--kill-after N] [--inject-* ...]
 //! [--events PATH] [--metrics PATH]`
 //!
+//! `--seeds N` (default 5) is the number of attack runs per design; a
+//! missing, malformed or zero value exits 2.
+//!
 //! Each (design, seed) run is an independent deterministic simulation,
 //! so the per-design accuracies are identical for every worker count —
 //! and identical across any kill/checkpoint/resume interleaving, which
@@ -23,24 +26,19 @@ use std::path::Path;
 use sectlb_bench::observe::Observability;
 use sectlb_bench::{campaign, cli};
 use sectlb_secbench::oracle;
+use sectlb_secbench::resilience::ShardOutcome;
 use sectlb_sim::machine::TlbDesign;
-use sectlb_workloads::attack::{attack_all_designs, prime_probe_attack, AttackSettings};
+use sectlb_workloads::attack::{prime_probe_attack, AttackSettings};
 use sectlb_workloads::rsa::RsaKey;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     cli::reject_unknown(&args, &["--seeds"], &[]);
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5);
+    let seeds = cli::seeds_flag(&args, 5);
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
     let oracle = cli::oracle_flags(&args, &policy, "attack_success");
-    let mut obs = Observability::from_args("attack_success", &args);
+    let mut obs = Observability::from_args("attack_success", &args, &policy);
     let key = RsaKey::demo_128();
     println!("TLBleed-style Prime + Probe key recovery ({seeds} runs per design)");
     println!("secret: {}-bit exponent", key.secret_bits().len());
@@ -79,27 +77,24 @@ fn main() {
         let completed: Vec<f64> = slice.iter().filter_map(|r| r.done().copied()).collect();
         if summary.affects(&[&design.to_string()]) {
             println!("  {design} TLB: SUSPECT (shadow-oracle violation)");
-        } else if completed.len() == slice.len() {
+        } else if let Some(Err(marker)) = ShardOutcome::worst(slice).map(ShardOutcome::as_result) {
+            println!(
+                "  {} TLB: {} ({} of {} runs completed)",
+                design,
+                marker,
+                completed.len(),
+                slice.len()
+            );
+        } else {
             println!(
                 "  {} TLB: {:.1}% of key bits recovered",
                 design,
                 completed.iter().sum::<f64>() / seeds as f64 * 100.0
             );
-        } else {
-            println!(
-                "  {} TLB: {} ({} of {} runs completed)",
-                design,
-                // An incomplete row always carries a gap kind; fall back
-                // to the generic marker rather than panicking mid-report.
-                campaign::gap_marker(slice).unwrap_or("QUARANTINED"),
-                completed.len(),
-                slice.len()
-            );
         }
     }
-    let _ = attack_all_designs(&key, &AttackSettings::default());
     println!("(50% is chance level: the attacker learns nothing)");
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));

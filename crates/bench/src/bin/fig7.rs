@@ -49,7 +49,7 @@ fn main() {
         Workload::all()
     };
     let runs: Vec<usize> = if quick { vec![10] } else { vec![50, 100, 150] };
-    let mut obs = Observability::from_args("fig7", &args);
+    let mut obs = Observability::from_args("fig7", &args, &policy);
 
     // Enumerate every (design, workload, runs, config) cell up front in
     // print order, simulate each exactly once on the campaign engine,
@@ -97,20 +97,14 @@ fn main() {
             }
         },
     );
+    // QUARANTINED is abbreviated to fit the 8-wide columns.
     let cells: Vec<Result<(f64, f64), &'static str>> = outcome
         .results
         .iter()
-        .map(|r| match r.done() {
-            Some(&pair) => Ok(pair),
-            None => Err(
-                campaign::gap_marker(std::slice::from_ref(r)).map_or("QUAR", |m| {
-                    if m == "QUARANTINED" {
-                        "QUAR"
-                    } else {
-                        m
-                    }
-                }),
-            ),
+        .map(|r| {
+            r.as_result()
+                .copied()
+                .map_err(|m| if m == "QUARANTINED" { "QUAR" } else { m })
         })
         .collect();
     obs.campaign_end();
@@ -186,7 +180,7 @@ fn main() {
         );
     }
 
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));

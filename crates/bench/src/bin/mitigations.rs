@@ -40,7 +40,7 @@ fn main() {
         oracle: cli::oracle_flags(&args, &policy, "mitigations"),
         ..TrialSettings::default()
     };
-    let mut obs = Observability::from_args("mitigations", &args);
+    let mut obs = Observability::from_args("mitigations", &args, &policy);
     println!("Section 2.3: existing mitigations vs. the 24 vulnerability types");
     println!("({} trials per placement)\n", settings.trials);
     println!("{:<42} {:>10} {:>8}", "approach", "measured", "paper");
@@ -58,17 +58,17 @@ fn main() {
     );
     obs.campaign_end();
     for (m, result) in tasks.iter().zip(&outcome.results) {
-        match result.done() {
-            Some(measured) => println!(
+        match result.as_result() {
+            Ok(measured) => println!(
                 "{:<42} {:>7}/24 {:>5}/24",
                 m.label(),
                 measured,
                 m.paper_defended_count()
             ),
-            None => println!(
+            Err(marker) => println!(
                 "{:<42} {:>10} {:>5}/24",
                 m.label(),
-                campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED"),
+                marker,
                 m.paper_defended_count()
             ),
         }
@@ -76,7 +76,7 @@ fn main() {
     print_reading();
     let summary = oracle::conclude("mitigations", Path::new("repro"));
     print_suspects(&summary);
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));

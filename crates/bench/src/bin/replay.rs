@@ -30,6 +30,7 @@ use std::process::exit;
 use sectlb_bench::exit::{EXIT_OK, EXIT_USAGE};
 use sectlb_bench::observe::Observability;
 use sectlb_secbench::oracle::replay_file;
+use sectlb_secbench::resilience::RunPolicy;
 use sectlb_secbench::telemetry::{duration_ns, Envelope, Event};
 
 const USAGE: &str = "usage: replay REPRO_FILE... [--events PATH] [--metrics PATH]\n\
@@ -84,7 +85,7 @@ fn main() {
             }
         }
     }
-    let mut obs = Observability::from_args("replay", &args);
+    let mut obs = Observability::from_args("replay", &args, &RunPolicy::default());
     // Everything that is not an observability flag (or its value) is a
     // repro file.
     let mut files: Vec<&String> = Vec::new();

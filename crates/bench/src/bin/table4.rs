@@ -4,7 +4,8 @@
 //!
 //! Usage: `table4 [--trials N] [--designs sa,sp,rf,fs,ft,ms]
 //! [--workers N|auto] [--checkpoint PATH]
-//! [--resume PATH] [--retries N] [--kill-after N] [--inject-* ...]
+//! [--resume PATH] [--retries N] [--kill-after N] [--deadline SECS]
+//! [--cell-deadline-ms MS] [--inject-* ...]
 //! [--oracle[=RATE]] [--inject-corruption[=PM]]
 //! [--events PATH] [--metrics PATH]`
 //!
@@ -23,7 +24,10 @@
 //! default) and reports the pool's throughput counters. Worker panics are
 //! isolated and deterministically retried, progress is checkpointed
 //! crash-safely, and cells whose shards keep failing are quarantined in
-//! the rendered table (exit code 4) instead of aborting the run.
+//! the rendered table instead of aborting the run. The exit code and the
+//! stderr summary come from the engine's run, as for every campaign
+//! driver: 7 when the budget cut the campaign short, else 4 when a cell
+//! was quarantined, else 0 (6 when the oracle found a SUSPECT cell).
 
 use std::num::NonZeroUsize;
 use std::path::Path;
@@ -61,7 +65,7 @@ fn main() {
             "serial".to_owned()
         }
     );
-    let mut obs = Observability::from_args("table4", &args);
+    let mut obs = Observability::from_args("table4", &args, &policy);
     supervisor::install_signal_handlers();
     obs.campaign_begin();
     let built = build_table4(&designs, &settings, worker_count, &policy, obs.telemetry());
@@ -76,7 +80,7 @@ fn main() {
     };
     let summary = oracle::conclude("table4", Path::new("repro"));
     println!("{}", report.render_with_suspects(&summary));
-    report.eprint_summary(report_pool);
+    report.run.eprint_summary(report_pool);
     if !summary.is_empty() {
         println!(
             "WARNING: {} cell(s) SUSPECT; the TLB model misbehaved there",
@@ -99,6 +103,6 @@ fn main() {
     }
     summary.eprint();
     obs.oracle_summary(&summary);
-    obs.finish(Some(&report.stats));
-    std::process::exit(summary.exit_code(report.exit_code()));
+    obs.finish(Some(&report.run.stats));
+    std::process::exit(summary.exit_code(report.run.exit_code()));
 }

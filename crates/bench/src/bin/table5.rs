@@ -28,7 +28,7 @@ fn main() {
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
     let _ = cli::oracle_flags(&args, &policy, "table5");
-    let mut obs = Observability::from_args("table5", &args);
+    let mut obs = Observability::from_args("table5", &args, &policy);
     let baseline_cfg = TlbConfig::sa(32, 4).unwrap_or_else(|e| {
         eprintln!("error: baseline TLB geometry rejected: {e}");
         std::process::exit(EXIT_SETUP);
@@ -62,8 +62,8 @@ fn main() {
     for (row, result) in rows.iter().zip(&outcome.results) {
         let pdl = row.luts as i64 - paper_base.luts as i64;
         let pdr = row.registers as i64 - paper_base.registers as i64;
-        match result.done() {
-            Some((luts, registers)) => {
+        match result.as_result() {
+            Ok((luts, registers)) => {
                 let dl = *luts as i64 - base.luts as i64;
                 let dr = *registers as i64 - base.registers as i64;
                 println!(
@@ -78,9 +78,7 @@ fn main() {
                     pdr
                 );
             }
-            None => {
-                let gap =
-                    campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED");
+            Err(gap) => {
                 println!(
                     "{:<4} {:>8} | {:^29} | {:^28}",
                     row.design.name(),
@@ -91,7 +89,7 @@ fn main() {
             }
         }
     }
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     let summary = oracle::conclude("table5", Path::new("repro"));
     summary.eprint();
     obs.oracle_summary(&summary);

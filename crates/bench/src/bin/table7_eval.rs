@@ -28,7 +28,7 @@ fn main() {
     let workers = cli::workers_flag(&args);
     let policy = cli::campaign_flags(&args);
     let oracle_cfg = cli::oracle_flags(&args, &policy, "table7_eval");
-    let mut obs = Observability::from_args("table7_eval", &args);
+    let mut obs = Observability::from_args("table7_eval", &args, &policy);
     println!("Appendix B attacks vs. the designs ({trials} trials per placement)");
     println!("channel capacity C*; 0 = defended\n");
     print!("{:<38} {:<30}", "family", "pattern");
@@ -62,18 +62,15 @@ fn main() {
                 continue;
             }
             let result = &outcome.results[bi * ExtDesign::ALL.len() + di];
-            match result.done() {
-                Some(m) => print!(" {:>18.3}", m.capacity()),
-                None => print!(
-                    " {:>18}",
-                    campaign::gap_marker(std::slice::from_ref(result)).unwrap_or("QUARANTINED")
-                ),
+            match result.as_result() {
+                Ok(m) => print!(" {:>18.3}", m.capacity()),
+                Err(marker) => print!(" {:>18}", marker),
             }
         }
         println!();
     }
     print_reading();
-    outcome.eprint_summary();
+    outcome.eprint_summary(campaign::reports_pool(workers, &policy));
     summary.eprint();
     obs.oracle_summary(&summary);
     obs.finish(Some(&outcome.stats));

@@ -2,7 +2,8 @@
 //!
 //! All drivers accept `--workers N` (worker threads of the campaign
 //! engine, one by default; `auto` picks the machine's available
-//! parallelism) and most accept `--trials N`. Campaign outputs are
+//! parallelism) and most accept `--trials N` (`attack_success` takes
+//! `--seeds N` instead). Campaign outputs are
 //! bitwise identical for every worker count — the flag only changes
 //! wall-clock time.
 //!
@@ -13,11 +14,9 @@
 //! - `--checkpoint PATH` / `--checkpoint-every N` — crash-safe progress
 //! - `--resume PATH` — skip the shards a checkpoint already records
 //! - `--kill-after N` — halt after N shards (deterministic kill switch)
-//! - `--stall-deadline-ms N` — watchdog deadline per shard
 //! - `--inject-panics PM` / `--inject-panic-attempts K` /
-//!   `--inject-fatal PM` / `--inject-stall PM` / `--inject-stall-ms N` /
-//!   `--fault-seed S` — the deterministic fault-injection harness
-//!   (per-mille rates keyed by shard index)
+//!   `--inject-fatal PM` / `--fault-seed S` — the deterministic
+//!   fault-injection harness (per-mille rates keyed by shard index)
 //! - `--inject-corruption[=PM]` — deterministically corrupt one TLB
 //!   entry in PM‰ of trials (default: all), keyed by trial seed; only
 //!   the shadow oracle can catch it
@@ -128,6 +127,23 @@ pub fn parse_trials(args: &[String], default: u32) -> Result<u32, String> {
     }
 }
 
+/// Parses `--seeds N` (attack runs per design); `Ok(default)` when
+/// absent.
+///
+/// `--seeds 0` is rejected: with no runs there is no recovered-bit
+/// fraction to average, so every accuracy would be undefined.
+pub fn parse_seeds(args: &[String], default: u64) -> Result<u64, String> {
+    match flag_num(args, "--seeds")? {
+        None => Ok(default),
+        Some(0) => Err(
+            "--seeds must be at least 1: zero attack runs per design recover no \
+             key bits, so every accuracy would be undefined"
+                .to_owned(),
+        ),
+        Some(n) => Ok(n),
+    }
+}
+
 /// Looks up a `--flag` / `--flag=VALUE` style flag (value attached with
 /// `=`, unlike [`flag_value`]'s separate-argument style): `None` when
 /// absent, `Some(None)` for the bare flag, `Some(Some(v))` with a value.
@@ -189,9 +205,6 @@ pub fn parse_campaign(args: &[String]) -> Result<RunPolicy, String> {
     let mut policy = RunPolicy::default();
     if let Some(retries) = flag_num::<u32>(args, "--retries")? {
         policy.max_retries = retries;
-    }
-    if let Some(ms) = flag_num::<u64>(args, "--stall-deadline-ms")? {
-        policy.stall_deadline = Some(Duration::from_millis(ms));
     }
     if let Some(path) = flag_value(args, "--checkpoint")? {
         let mut cp = CheckpointPolicy::new(path);
@@ -256,13 +269,6 @@ pub fn parse_campaign(args: &[String]) -> Result<RunPolicy, String> {
         faults.fatal_per_mille = pm;
         any_fault = true;
     }
-    if let Some(pm) = flag_num::<u16>(args, "--inject-stall")? {
-        faults.stall_per_mille = pm;
-        any_fault = true;
-    }
-    if let Some(ms) = flag_num::<u64>(args, "--inject-stall-ms")? {
-        faults.stall = Duration::from_millis(ms);
-    }
     if let Some(seed) = flag_num::<u64>(args, "--fault-seed")? {
         faults.seed = seed;
     }
@@ -306,11 +312,6 @@ pub fn parse_inject_io(args: &[String]) -> Result<Option<IoFault>, String> {
         )
     })?;
     Ok(Some(IoFault { kind, per_mille }))
-}
-
-/// [`parse_inject_io`], exiting 2 with the error on a malformed value.
-pub fn inject_io_flag(args: &[String]) -> Option<IoFault> {
-    parse_inject_io(args).unwrap_or_else(|e| exit_usage(e))
 }
 
 /// Looks up a design by its case-insensitive short name for `flag`,
@@ -370,10 +371,9 @@ pub fn parse_metrics(args: &[String]) -> Result<Option<PathBuf>, String> {
 }
 
 /// The value-taking flags (`--flag VALUE`) every campaign driver accepts.
-const CAMPAIGN_VALUE_FLAGS: [&str; 18] = [
+const CAMPAIGN_VALUE_FLAGS: [&str; 15] = [
     "--workers",
     "--retries",
-    "--stall-deadline-ms",
     "--checkpoint",
     "--checkpoint-every",
     "--resume",
@@ -383,8 +383,6 @@ const CAMPAIGN_VALUE_FLAGS: [&str; 18] = [
     "--inject-panics",
     "--inject-panic-attempts",
     "--inject-fatal",
-    "--inject-stall",
-    "--inject-stall-ms",
     "--fault-seed",
     "--inject-io",
     "--events",
@@ -430,6 +428,11 @@ pub fn workers_flag(args: &[String]) -> Option<NonZeroUsize> {
 /// [`parse_trials`], exiting 2 with the error on a malformed value.
 pub fn trials_flag(args: &[String], default: u32) -> u32 {
     parse_trials(args, default).unwrap_or_else(|e| exit_usage(e))
+}
+
+/// [`parse_seeds`], exiting 2 with the error on a malformed value.
+pub fn seeds_flag(args: &[String], default: u64) -> u64 {
+    parse_seeds(args, default).unwrap_or_else(|e| exit_usage(e))
 }
 
 /// [`parse_campaign`], exiting 2 with the error on a malformed value.
@@ -494,6 +497,22 @@ mod tests {
     }
 
     #[test]
+    fn seeds_parse_like_trials() {
+        assert_eq!(parse_seeds(&args(&["prog"]), 5), Ok(5));
+        assert_eq!(parse_seeds(&args(&["prog", "--seeds", "2"]), 5), Ok(2));
+        let err = parse_seeds(&args(&["prog", "--seeds", "0"]), 5).expect_err("rejected");
+        assert!(err.contains("--seeds must be at least 1"), "{err}");
+        assert_eq!(
+            parse_seeds(&args(&["prog", "--seeds", "many"]), 5),
+            Err("--seeds needs a number, got \"many\"".to_owned())
+        );
+        assert_eq!(
+            parse_seeds(&args(&["prog", "--seeds"]), 5),
+            Err("--seeds needs a value".to_owned())
+        );
+    }
+
+    #[test]
     fn explicit_values_parse() {
         assert_eq!(
             parse_workers(&args(&["prog", "--workers", "4"])),
@@ -541,8 +560,6 @@ mod tests {
             "/tmp/ck",
             "--kill-after",
             "10",
-            "--stall-deadline-ms",
-            "250",
             "--inject-panics",
             "100",
             "--inject-fatal",
@@ -553,7 +570,6 @@ mod tests {
         .expect("parses");
         assert_eq!(policy.max_retries, 5);
         assert_eq!(policy.stop_after, Some(10));
-        assert_eq!(policy.stall_deadline, Some(Duration::from_millis(250)));
         let cp = policy.checkpoint.expect("checkpoint");
         assert_eq!(cp.path, PathBuf::from("/tmp/ck"));
         assert_eq!(cp.every, 3);

@@ -19,10 +19,10 @@
 //! module for the shared flag parsing.
 //!
 //! Campaign drivers also accept the fault-tolerance flags
-//! (`--checkpoint`, `--resume`, `--retries`, `--kill-after`,
-//! `--stall-deadline-ms`, and the `--inject-*` fault-injection harness)
-//! — see the [`campaign`] module for the shared driver glue, and the
-//! [`exit`] module for the exit-code contract every driver honors.
+//! (`--checkpoint`, `--resume`, `--retries`, `--kill-after`, and the
+//! `--inject-*` fault-injection harness) — see the [`campaign`] module
+//! for the shared driver glue, and the [`exit`] module for the exit-code
+//! contract every driver honors; the engine's run applies it.
 //!
 //! The resource-budget flags (`--deadline SECS`, `--cell-deadline-ms MS`)
 //! bound a campaign's wall-clock time: on expiry — or on SIGINT/SIGTERM —

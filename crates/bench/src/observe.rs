@@ -18,10 +18,10 @@ use std::time::Instant;
 
 use sectlb_secbench::iofault::{self, FaultyWriter, IoInjector};
 use sectlb_secbench::oracle::OracleSummary;
-use sectlb_secbench::resilience::PoolStats;
+use sectlb_secbench::resilience::{FaultPlan, PoolStats, RunPolicy};
 use sectlb_secbench::telemetry::{duration_ns, render_metrics, Event, PhaseTimings, Telemetry};
 
-use crate::cli::{events_flag, flag_num, inject_io_flag, metrics_flag};
+use crate::cli::{events_flag, metrics_flag};
 use crate::exit::EXIT_SETUP;
 
 /// One driver invocation's observability state: the telemetry handle,
@@ -38,29 +38,26 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// Builds the handle from the command line.
+    /// Builds the handle from the command line and the campaign `policy`
+    /// the driver already parsed from it.
     ///
     /// Exits [`crate::exit::EXIT_USAGE`] on a malformed flag (via the
     /// shared [`crate::cli`] wrappers) and [`EXIT_SETUP`] when the
     /// `--events` file cannot be created. `--metrics` alone still arms
     /// the telemetry handle (shard latencies feed the snapshot's
     /// histogram) without writing any event stream.
-    pub fn from_args(driver: &str, args: &[String]) -> Observability {
+    pub fn from_args(driver: &str, args: &[String], policy: &RunPolicy) -> Observability {
         let events = events_flag(args);
         let metrics = metrics_flag(args);
-        // `--inject-io` threads the same injection seam under the event
-        // stream that checkpoints get: an injected sink
-        // failure must degrade telemetry (the sink disarms itself), never
-        // the campaign.
-        let injector = match inject_io_flag(args) {
-            Some(fault) => {
-                let seed = flag_num::<u64>(args, "--fault-seed")
-                    .unwrap_or_else(|e| crate::exit::usage(e))
-                    .unwrap_or(sectlb_secbench::resilience::FaultPlan::default().seed);
-                IoInjector::new(seed, fault)
-            }
-            None => IoInjector::disabled(),
-        };
+        // The policy's `--inject-io` injector sits under the event stream
+        // and the metrics file as it does under checkpoints: an injected
+        // sink failure must degrade telemetry (the sink disarms itself),
+        // never the campaign.
+        let injector = policy
+            .faults
+            .as_ref()
+            .map(FaultPlan::io_injector)
+            .unwrap_or_default();
         let telemetry = match &events {
             Some(path) => {
                 let opened = std::fs::File::create(path).map(|file| {
@@ -161,7 +158,7 @@ mod tests {
 
     #[test]
     fn disabled_without_flags() {
-        let mut obs = Observability::from_args("test", &args(&["prog"]));
+        let mut obs = Observability::from_args("test", &args(&["prog"]), &RunPolicy::default());
         assert!(!obs.enabled());
         assert!(!obs.telemetry().is_armed());
         obs.finish(None); // must be a no-op, not a panic
@@ -175,6 +172,7 @@ mod tests {
         let mut obs = Observability::from_args(
             "test",
             &args(&["prog", "--metrics", path.to_str().expect("utf8 path")]),
+            &RunPolicy::default(),
         );
         assert!(obs.enabled());
         obs.campaign_begin();

@@ -67,6 +67,24 @@ fn zero_trials_fails_fast_with_a_specific_message() {
 }
 
 #[test]
+fn attack_success_seeds_must_be_a_positive_number() {
+    for (args, needle) in [
+        (&["--seeds", "0"][..], "--seeds must be at least 1"),
+        (&["--seeds", "many"], "--seeds needs a number, got \"many\""),
+        (&["--seeds"], "--seeds needs a value"),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_attack_success"), args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no attack runs before the error"
+        );
+    }
+}
+
+#[test]
 fn checkpoint_every_without_checkpoint_is_rejected() {
     let out = run(env!("CARGO_BIN_EXE_table5"), &["--checkpoint-every", "4"]);
     assert_eq!(out.status.code(), Some(2));
@@ -150,10 +168,16 @@ const CAMPAIGN_DRIVERS: [&str; 8] = [
 
 #[test]
 fn every_campaign_driver_rejects_retired_and_misspelt_flags() {
-    // `--adaptive` is a retired flag; `--trail` a typo of `--trials`.
-    // Either must stop the driver before it runs a campaign.
+    // `--adaptive`, `--stall-deadline-ms` and `--inject-stall` are
+    // retired flags; `--trail` a typo of `--trials`. Each must stop the
+    // driver before it runs a campaign.
     for bin in CAMPAIGN_DRIVERS {
-        for args in [&["--adaptive"][..], &["--trail", "50"]] {
+        for args in [
+            &["--adaptive"][..],
+            &["--stall-deadline-ms", "250"],
+            &["--inject-stall", "100"],
+            &["--trail", "50"],
+        ] {
             let out = run(bin, args);
             assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
             let err = stderr(&out);

@@ -15,8 +15,11 @@
 //!   `(vulnerability, design, placement, trial-chunk)` space spread over
 //!   scoped worker threads (one worker is a serial run) with
 //!   bitwise-deterministic seeding, panic isolation with deterministic
-//!   retry, shard quarantine, checkpoint/resume, a stall watchdog, and a
-//!   deterministic fault-injection harness for testing all of the above;
+//!   retry, shard quarantine, checkpoint/resume, and a deterministic
+//!   fault-injection harness for testing all of the above. Its
+//!   `ResilientRun` is the one campaign outcome: it carries the campaign
+//!   telemetry envelope, the exit code, the gap markers and the stderr
+//!   summary for every driver;
 //! - [`scheduler`] — the work-stealing shard scheduler beneath the
 //!   engine: per-worker deques (LIFO owner pop, FIFO steal) whose claim
 //!   order never changes *what* runs, only *who* runs it;
@@ -85,9 +88,8 @@ pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPolicy, Record, Reco
 pub use iofault::{IoFault, IoFaultKind, IoInjector};
 pub use oracle::{OracleConfig, OracleSummary, SuspectCell, EXIT_SUSPECT};
 pub use resilience::{
-    measure_cells_resilient, run_sharded_resilient, CampaignError, CampaignOutcome, CellOutcome,
-    FaultPlan, PoolStats, ResilientRun, RunPolicy, ShardFailure, ShardOutcome, WorkerStats,
-    EXIT_QUARANTINED,
+    measure_cells_resilient, run_sharded_resilient, CampaignError, FaultPlan, PoolStats,
+    ResilientRun, RunPolicy, ShardFailure, ShardOutcome, WorkerStats, EXIT_QUARANTINED,
 };
 pub use run::{derive_trial_seed, run_vulnerability, Measurement, TrialCell, TrialSettings};
 pub use scheduler::{Claim, StealQueues};

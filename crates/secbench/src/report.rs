@@ -11,11 +11,9 @@ use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_sim::machine::TlbDesign;
 
 use crate::resilience::{
-    measure_cells_resilient, CampaignError, CellGap, CellOutcome, PoolStats, RunPolicy,
-    ShardFailure, StallEvent, EXIT_QUARANTINED,
+    measure_cells_resilient, CampaignError, ResilientRun, RunPolicy, ShardFailure,
 };
 use crate::run::{Measurement, TrialSettings};
-use crate::supervisor::{StopReason, EXIT_BUDGET};
 use crate::telemetry::Telemetry;
 use crate::theory::{paper_theory, TheoryParams, TheoryRow};
 
@@ -99,45 +97,25 @@ impl Table4 {
 
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
-        self.render_masked(&[])
+        self.render_marked(&[], &[], &[])
     }
 
-    /// [`Table4::render`], with the listed `(row, column)` cells masked as
-    /// `QUARANTINED` and excluded from the defended counts.
-    ///
-    /// The fault-tolerant engine renders through this so a quarantined
-    /// cell is *visibly* missing — never a silently plausible number from
-    /// a partial measurement. With an empty mask the output is
-    /// byte-identical to [`Table4::render`].
-    pub fn render_masked(&self, masked: &[(usize, usize)]) -> String {
-        self.render_annotated(masked, &[])
-    }
-
-    /// [`Table4::render_masked`], additionally rendering the listed
-    /// `(row, column)` cells as `SUSPECT`: the shadow oracle caught the
-    /// TLB model misbehaving there, so the numbers are untrustworthy.
-    /// SUSPECT wins over QUARANTINED when a cell is both. With both lists
-    /// empty the output is byte-identical to [`Table4::render`].
-    pub fn render_annotated(
-        &self,
-        masked: &[(usize, usize)],
-        suspect: &[(usize, usize)],
-    ) -> String {
-        self.render_marked(masked, suspect, &[])
-    }
-
-    /// The fully general renderer: quarantined, suspect, and
-    /// budget-truncated cells each get their marker, with priority
-    /// `SUSPECT > QUARANTINED > TIMEOUT > PARTIAL` when a cell qualifies
-    /// for more than one. Marked cells are excluded from the defended
-    /// counts; each nonempty category appends its own warning footer.
-    /// With all lists empty the output is byte-identical to
-    /// [`Table4::render`].
+    /// [`Table4::render`] with the listed `(row, column)` cells marked
+    /// instead of showing numbers: `masked` cells as `QUARANTINED`,
+    /// `suspect` cells as `SUSPECT` (the shadow oracle caught the TLB
+    /// model misbehaving there), and `partial` cells with their budget
+    /// marker (`TIMEOUT`/`PARTIAL`), with priority `SUSPECT >
+    /// QUARANTINED >` the budget marker when a cell qualifies for more
+    /// than one. A quarantined or truncated cell is thus *visibly*
+    /// missing — never a silently plausible number from a partial
+    /// measurement. Marked cells are excluded from the defended counts;
+    /// each nonempty category appends its own warning footer. With all
+    /// lists empty the output is byte-identical to [`Table4::render`].
     pub fn render_marked(
         &self,
         masked: &[(usize, usize)],
         suspect: &[(usize, usize)],
-        partial: &[(usize, usize, CellGap)],
+        partial: &[(usize, usize, &'static str)],
     ) -> String {
         let mut out = String::new();
         let names: Vec<&str> = self.designs.iter().map(|d| d.name()).collect();
@@ -177,8 +155,8 @@ impl Table4 {
                     let _ = write!(line, " | {:^24}", "SUSPECT");
                 } else if masked.contains(&(r, c)) {
                     let _ = write!(line, " | {:^24}", "QUARANTINED");
-                } else if let Some((_, _, gap)) = gap {
-                    let _ = write!(line, " | {:^24}", gap.marker());
+                } else if let Some((_, _, marker)) = gap {
+                    let _ = write!(line, " | {:^24}", marker);
                 } else {
                     let _ = write!(
                         line,
@@ -279,13 +257,13 @@ pub struct PartialCell {
     pub col: usize,
     /// Merged measurement of the trials that did complete.
     pub partial: Measurement,
-    /// Why the cell is incomplete (selects the `PARTIAL`/`TIMEOUT`
-    /// marker).
-    pub gap: CellGap,
+    /// The cell's `TIMEOUT`/`PARTIAL` marker.
+    pub marker: &'static str,
 }
 
-/// A Table 4 campaign run through the fault-tolerant engine: the table,
-/// the quarantine report, and the pool's resilience counters.
+/// A Table 4 campaign run through the fault-tolerant engine: the table
+/// and its quarantined and incomplete cells, which stdout renders, plus
+/// the engine's run, which owns the exit code and the stderr summary.
 #[derive(Debug)]
 pub struct CampaignReport {
     /// The assembled table (quarantined cells hold partial measurements
@@ -297,74 +275,20 @@ pub struct CampaignReport {
     /// Every cell the resource budget left incomplete, rendered
     /// `PARTIAL`/`TIMEOUT` — like quarantine, never silently dropped.
     pub partial: Vec<PartialCell>,
-    /// Pool timing plus retry/quarantine/stall counters.
-    pub stats: PoolStats,
-    /// Shards skipped via the resume checkpoint.
-    pub resumed: usize,
-    /// The stall watchdog's individual reports (counted in
-    /// [`PoolStats::stalled`], detailed here).
-    pub stalls: Vec<StallEvent>,
-    /// Why the supervisor stopped the campaign early, if it did.
-    pub stop: Option<StopReason>,
+    /// The engine's per-shard outcomes and pool counters.
+    pub run: ResilientRun<Measurement>,
 }
 
 impl CampaignReport {
-    /// The driver exit code: 0 for a clean campaign,
-    /// [`EXIT_QUARANTINED`] when any cell was quarantined, and
-    /// [`EXIT_BUDGET`] — which wins, since the campaign is incomplete
-    /// but resumable — when the budget cut it short.
-    pub fn exit_code(&self) -> i32 {
-        if !self.partial.is_empty() || self.stop.is_some() {
-            EXIT_BUDGET
-        } else if !self.quarantined.is_empty() {
-            EXIT_QUARANTINED
-        } else {
-            0
-        }
-    }
-
     /// Renders the table (quarantined cells masked) followed by the
     /// quarantine detail section.
     ///
     /// Only deterministic content: a clean run renders byte-identically
     /// to the plain [`Table4::render`] path, and a resumed run renders
     /// byte-identically to an uninterrupted one. Timing and resume
-    /// counters go to stderr via [`CampaignReport::eprint_summary`].
+    /// counters go to stderr via [`ResilientRun::eprint_summary`].
     pub fn render(&self) -> String {
-        let masked: Vec<(usize, usize)> = self.quarantined.iter().map(|q| (q.row, q.col)).collect();
-        let partial: Vec<(usize, usize, CellGap)> =
-            self.partial.iter().map(|p| (p.row, p.col, p.gap)).collect();
-        let mut out = self.table.render_marked(&masked, &[], &partial);
-        self.render_details(&mut out);
-        out
-    }
-
-    /// The deterministic per-cell detail sections shared by
-    /// [`CampaignReport::render`] and
-    /// [`CampaignReport::render_with_suspects`]: quarantine reports,
-    /// budget gaps and the stop reason.
-    fn render_details(&self, out: &mut String) {
-        for q in &self.quarantined {
-            let _ = writeln!(
-                out,
-                "quarantined cell [{} on {} TLB]: {} ({} of {} trials salvaged)",
-                q.vulnerability, q.design, q.failure, q.partial.trials, self.table.trials
-            );
-        }
-        for p in &self.partial {
-            let _ = writeln!(
-                out,
-                "{} cell [{} on {} TLB]: {} of {} trials completed",
-                p.gap.marker(),
-                p.vulnerability,
-                p.design,
-                p.partial.trials,
-                self.table.trials
-            );
-        }
-        if let Some(stop) = self.stop {
-            let _ = writeln!(out, "campaign stopped early: {stop}");
-        }
+        self.render_with_suspects(&crate::oracle::OracleSummary::default())
     }
 
     /// Maps an oracle summary's suspect contexts back to `(row, col)`
@@ -384,39 +308,37 @@ impl CampaignReport {
     }
 
     /// [`CampaignReport::render`] with the oracle summary's SUSPECT cells
-    /// rendered in the table (SUSPECT wins over QUARANTINED). With an
-    /// empty summary the output is byte-identical to
+    /// rendered in the table (SUSPECT wins over QUARANTINED), followed by
+    /// the per-cell quarantine and budget-gap details and the stop
+    /// reason. With an empty summary the output is byte-identical to
     /// [`CampaignReport::render`].
     pub fn render_with_suspects(&self, summary: &crate::oracle::OracleSummary) -> String {
         let suspect = self.suspect_cells(summary);
         let masked: Vec<(usize, usize)> = self.quarantined.iter().map(|q| (q.row, q.col)).collect();
-        let partial: Vec<(usize, usize, CellGap)> =
-            self.partial.iter().map(|p| (p.row, p.col, p.gap)).collect();
+        let partial: Vec<(usize, usize, &'static str)> = self
+            .partial
+            .iter()
+            .map(|p| (p.row, p.col, p.marker))
+            .collect();
         let mut out = self.table.render_marked(&masked, &suspect, &partial);
-        self.render_details(&mut out);
+        for q in &self.quarantined {
+            let _ = writeln!(
+                out,
+                "quarantined cell [{} on {} TLB]: {} ({} of {} trials salvaged)",
+                q.vulnerability, q.design, q.failure, q.partial.trials, self.table.trials
+            );
+        }
+        for p in &self.partial {
+            let _ = writeln!(
+                out,
+                "{} cell [{} on {} TLB]: {} of {} trials completed",
+                p.marker, p.vulnerability, p.design, p.partial.trials, self.table.trials
+            );
+        }
+        if let Some(stop) = self.run.stop {
+            let _ = writeln!(out, "campaign stopped early: {stop}");
+        }
         out
-    }
-
-    /// Prints the run's non-deterministic bookkeeping — the resume count,
-    /// the stall watchdog's reports, and (with `pool`) the pool's
-    /// timing/throughput line — to stderr, keeping stdout
-    /// bitwise-comparable across kill/resume interleavings.
-    pub fn eprint_summary(&self, pool: bool) {
-        if self.resumed > 0 {
-            eprintln!(
-                "resumed: {} shard(s) restored from checkpoint",
-                self.resumed
-            );
-        }
-        for s in &self.stalls {
-            eprintln!(
-                "stall: worker {} exceeded the watchdog deadline on shard {} (ran {:.2?})",
-                s.worker, s.task, s.waited
-            );
-        }
-        if pool {
-            eprintln!("pool: {}", self.stats.render());
-        }
     }
 }
 
@@ -454,39 +376,37 @@ pub fn build_table4(
     telemetry: &Telemetry,
 ) -> Result<CampaignReport, CampaignError> {
     let cells = table4_cells_for(designs);
-    let outcome = measure_cells_resilient(&cells, settings, workers, policy, telemetry, &|b| b)?;
+    let run = measure_cells_resilient(&cells, settings, workers, policy, telemetry, &|b| b)?;
     let params = TheoryParams::default();
     let ncols = designs.len();
     let mut quarantined = Vec::new();
     let mut partial_cells = Vec::new();
-    let measurements: Vec<Measurement> = outcome
-        .cells
+    let measurements: Vec<Measurement> = cells
         .iter()
         .enumerate()
-        .map(|(i, cell)| match cell {
-            CellOutcome::Measured(m) => *m,
-            CellOutcome::Quarantined { partial, failure } => {
-                quarantined.push(QuarantinedCell {
-                    vulnerability: cells[i].0,
-                    design: cells[i].1,
-                    row: i / ncols,
-                    col: i % ncols,
-                    partial: *partial,
+        .map(|(i, &(vulnerability, design))| {
+            let (partial, gap) = run.cell(i, settings.trials);
+            let (row, col) = (i / ncols, i % ncols);
+            match gap.map(|g| (g.failure(), g.as_result())) {
+                Some((Some(failure), _)) => quarantined.push(QuarantinedCell {
+                    vulnerability,
+                    design,
+                    row,
+                    col,
+                    partial,
                     failure: failure.clone(),
-                });
-                *partial
+                }),
+                Some((None, Err(marker))) => partial_cells.push(PartialCell {
+                    vulnerability,
+                    design,
+                    row,
+                    col,
+                    partial,
+                    marker,
+                }),
+                _ => {}
             }
-            CellOutcome::Partial { partial, gap } => {
-                partial_cells.push(PartialCell {
-                    vulnerability: cells[i].0,
-                    design: cells[i].1,
-                    row: i / ncols,
-                    col: i % ncols,
-                    partial: *partial,
-                    gap: *gap,
-                });
-                *partial
-            }
+            partial
         })
         .collect();
     let vulns = enumerate_vulnerabilities();
@@ -513,10 +433,7 @@ pub fn build_table4(
         },
         quarantined,
         partial: partial_cells,
-        stats: outcome.stats,
-        resumed: outcome.resumed,
-        stalls: outcome.stalls,
-        stop: outcome.stop,
+        run,
     })
 }
 
@@ -596,8 +513,8 @@ mod tests {
     #[test]
     fn table_is_bitwise_identical_across_workers_and_reports_stats() {
         let reference = report(&TlbDesign::ALL, 12, 1);
-        assert_eq!(reference.stats.trials(), 12 * 24 * 3);
-        assert_eq!(reference.exit_code(), 0);
+        assert_eq!(reference.run.stats.trials(), 12 * 24 * 3);
+        assert_eq!(reference.run.exit_code(), 0);
         let parallel = report(&TlbDesign::ALL, 12, 3);
         assert_eq!(parallel.table, reference.table, "workers=3 diverged");
         assert_eq!(parallel.render(), reference.table.render());

@@ -1,8 +1,10 @@
 //! The campaign engine: one function, [`run_sharded_resilient`], runs
 //! every campaign's task list over scoped worker threads, with panic
-//! isolation, deterministic retry, checkpoint/resume, a stall watchdog,
-//! the resource budget, and a deterministic fault-injection harness.
-//! A serial run is simply one worker.
+//! isolation, deterministic retry, checkpoint/resume, the resource
+//! budget, and a deterministic fault-injection harness. A serial run is
+//! simply one worker. Its [`ResilientRun`] is the one outcome of a
+//! campaign: every driver reads its exit code, gap markers and stderr
+//! summary from it.
 //!
 //! The paper's security evaluation is embarrassingly parallel: Table 4
 //! alone is 24 vulnerability types × 3 designs × 2 placements × 500
@@ -32,13 +34,9 @@
 //!   periodically serialized via [`crate::checkpoint`] (CRC-framed,
 //!   temp file + atomic rename, previous-generation fallback). A resumed
 //!   run skips recorded shards and produces bitwise-identical output.
-//! - **Watchdog** — an optional per-shard deadline; workers that exceed
-//!   it are reported as [`StallEvent`]s and counted in
-//!   [`PoolStats::stalled`].
 //! - **Fault injection** — a deterministic [`FaultPlan`] (seeded by shard
 //!   index, enabled only through test/CLI flags) makes chosen shards
-//!   panic or stall, so the integration suite can *prove* the properties
-//!   above.
+//!   panic, so the integration suite can *prove* the properties above.
 //! - **Resource budget** — a [`BudgetPolicy`] ([`crate::supervisor`])
 //!   stops the claim loop on deadline expiry or a latched SIGINT/SIGTERM,
 //!   drains in-flight shards (preempting them at trial boundaries when a
@@ -46,7 +44,6 @@
 //!   *partial* [`ResilientRun`] whose unexecuted shards are explicit
 //!   [`ShardOutcome::Skipped`]/[`ShardOutcome::TimedOut`] entries.
 
-use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -64,7 +61,7 @@ use crate::run::{
     TrialSettings,
 };
 use crate::scheduler::StealQueues;
-use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor};
+use crate::supervisor::{self, BudgetPolicy, ShardPreempted, StopReason, Supervisor, EXIT_BUDGET};
 use crate::telemetry::{duration_ns, stop_reason_str, Event, Telemetry};
 
 /// Trials per shard. Small enough that 24×3 cells split into plenty of
@@ -101,8 +98,6 @@ pub struct PoolStats {
     pub workers: Vec<WorkerStats>,
     /// Shards quarantined after exhausting their retry budget.
     pub quarantined: usize,
-    /// Shards the watchdog flagged as exceeding their deadline.
-    pub stalled: usize,
     /// Shards never claimed because the supervisor stopped the campaign
     /// (deadline expiry or graceful signal). Always 0 without a budget.
     pub skipped: usize,
@@ -168,9 +163,8 @@ impl PoolStats {
 
     /// One-line throughput summary for campaign footers.
     ///
-    /// Resilience counters (retries, quarantined shards, watchdog stalls)
-    /// are appended only when nonzero, so clean runs render one plain
-    /// throughput line.
+    /// Resilience counters (retries, quarantined shards) are appended
+    /// only when nonzero, so clean runs render one plain throughput line.
     pub fn render(&self) -> String {
         let mut line = format!(
             "{} workers, {} shards, {} trials x 2 placements in {:.2?} \
@@ -183,10 +177,10 @@ impl PoolStats {
             self.speedup(),
         );
         let retried = self.retried();
-        if retried > 0 || self.quarantined > 0 || self.stalled > 0 {
+        if retried > 0 || self.quarantined > 0 {
             line.push_str(&format!(
-                "; resilience: {retried} retried, {} quarantined, {} stalled",
-                self.quarantined, self.stalled
+                "; resilience: {retried} retried, {} quarantined",
+                self.quarantined
             ));
         }
         if self.skipped > 0 || self.preempted > 0 {
@@ -212,7 +206,9 @@ pub(crate) struct Shard {
 }
 
 /// Splits `cells` campaign cells of `trials` trials each into
-/// [`TRIALS_PER_SHARD`]-sized shards, in cell order.
+/// [`TRIALS_PER_SHARD`]-sized shards, in cell order: every cell owns the
+/// same number of contiguous shards, which is what
+/// [`ResilientRun::cell`] relies on.
 pub(crate) fn plan_shards(cells: usize, trials: u32) -> Vec<Shard> {
     let mut shards = Vec::new();
     for cell in 0..cells {
@@ -255,17 +251,6 @@ impl std::fmt::Display for ShardFailure {
 }
 
 impl std::error::Error for ShardFailure {}
-
-/// A worker that exceeded the watchdog's per-shard deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallEvent {
-    /// The stalled worker's id.
-    pub worker: usize,
-    /// The shard it was executing when flagged.
-    pub task: usize,
-    /// How long the shard had been running when flagged.
-    pub waited: Duration,
-}
 
 /// Campaign-level failures — the typed errors that end a run before it
 /// can report, propagated from the checkpoint layer and the kill switch
@@ -352,11 +337,6 @@ pub struct FaultPlan {
     /// Per-mille of shards that panic on *every* attempt (permanent
     /// faults — these end up quarantined).
     pub fatal_per_mille: u16,
-    /// Per-mille of shards whose first attempt stalls for
-    /// [`FaultPlan::stall`] before running (watchdog fodder).
-    pub stall_per_mille: u16,
-    /// Injected stall duration.
-    pub stall: Duration,
     /// Per-mille of *trials* whose TLB gets one entry deterministically
     /// corrupted mid-run (`--inject-corruption`). Unlike the other knobs
     /// this is not a shard-level fault: drivers forward it to
@@ -380,8 +360,6 @@ impl Default for FaultPlan {
             panic_per_mille: 0,
             panic_attempts: 1,
             fatal_per_mille: 0,
-            stall_per_mille: 0,
-            stall: Duration::from_millis(100),
             corrupt_per_mille: 0,
             io: None,
         }
@@ -393,7 +371,6 @@ impl FaultPlan {
     pub fn is_active(&self) -> bool {
         self.panic_per_mille > 0
             || self.fatal_per_mille > 0
-            || self.stall_per_mille > 0
             || self.corrupt_per_mille > 0
             || self.io.is_some()
     }
@@ -416,12 +393,9 @@ impl FaultPlan {
         self.roll(index, 0xdead) < self.fatal_per_mille
     }
 
-    /// Executes the planned fault for `(index, attempt)`, if any:
-    /// sleeps for injected stalls, panics for injected faults.
+    /// Executes the planned fault for `(index, attempt)`, if any: panics
+    /// for injected faults.
     pub fn inject(&self, index: usize, attempt: u32) {
-        if self.roll(index, 0x57a11) < self.stall_per_mille && attempt == 0 {
-            std::thread::sleep(self.stall);
-        }
         if self.is_fatal(index) {
             panic!("injected permanent fault in shard {index} (attempt {attempt})");
         }
@@ -437,8 +411,6 @@ pub struct RunPolicy {
     /// Retries per shard after the initial attempt (deterministic: the
     /// retried shard reruns with identical seeds).
     pub max_retries: u32,
-    /// Per-shard watchdog deadline; `None` disables the watchdog.
-    pub stall_deadline: Option<Duration>,
     /// Deterministic fault injection (test/CLI harness only).
     pub faults: Option<FaultPlan>,
     /// Halt the run after this many newly completed shards — a
@@ -459,7 +431,6 @@ impl Default for RunPolicy {
     fn default() -> RunPolicy {
         RunPolicy {
             max_retries: 2,
-            stall_deadline: None,
             faults: None,
             stop_after: None,
             checkpoint: None,
@@ -490,9 +461,19 @@ pub enum ShardOutcome<R> {
 impl<R> ShardOutcome<R> {
     /// The shard's result, if it completed.
     pub fn done(&self) -> Option<&R> {
+        self.as_result().ok()
+    }
+
+    /// The shard's result, or the marker a table prints in place of an
+    /// unfinished shard's numbers: `QUARANTINED`, `TIMEOUT` (preempted by
+    /// `--cell-deadline-ms`) or `PARTIAL` (never claimed before the
+    /// budget stopped the campaign).
+    pub fn as_result(&self) -> Result<&R, &'static str> {
         match self {
-            ShardOutcome::Done(r) => Some(r),
-            _ => None,
+            ShardOutcome::Done(r) => Ok(r),
+            ShardOutcome::Quarantined(_) => Err("QUARANTINED"),
+            ShardOutcome::TimedOut(_) => Err("TIMEOUT"),
+            ShardOutcome::Skipped(_) => Err("PARTIAL"),
         }
     }
 
@@ -515,18 +496,28 @@ impl<R> ShardOutcome<R> {
         matches!(self, ShardOutcome::TimedOut(_) | ShardOutcome::Skipped(_))
     }
 
-    /// Maps the completed result, preserving the gap variants.
-    pub fn map<S>(self, f: impl FnOnce(R) -> S) -> ShardOutcome<S> {
-        match self {
-            ShardOutcome::Done(r) => ShardOutcome::Done(f(r)),
-            ShardOutcome::Quarantined(q) => ShardOutcome::Quarantined(q),
-            ShardOutcome::TimedOut(t) => ShardOutcome::TimedOut(t),
-            ShardOutcome::Skipped(s) => ShardOutcome::Skipped(s),
-        }
+    /// The gap that speaks for a group of shards rendered as one table
+    /// cell: the first quarantined shard (it will not finish on resume),
+    /// else the first preempted one, else the first skipped one. `None`
+    /// when every shard completed.
+    pub fn worst(outcomes: &[ShardOutcome<R>]) -> Option<&ShardOutcome<R>> {
+        let precedence = |o: &&ShardOutcome<R>| match o {
+            ShardOutcome::Quarantined(_) => 0,
+            ShardOutcome::TimedOut(_) => 1,
+            ShardOutcome::Skipped(_) => 2,
+            ShardOutcome::Done(_) => 3,
+        };
+        // `min_by_key` keeps the first of equally ranked shards.
+        outcomes
+            .iter()
+            .filter(|o| !o.is_done())
+            .min_by_key(precedence)
     }
 }
 
-/// The outcome of a resilient sharded run.
+/// The outcome of a campaign: one [`ShardOutcome`] per task plus the
+/// pool's counters. Drivers render from it and take their exit code and
+/// stderr summary from it.
 #[derive(Debug)]
 pub struct ResilientRun<R> {
     /// One outcome per task, in task order.
@@ -535,8 +526,6 @@ pub struct ResilientRun<R> {
     pub stats: PoolStats,
     /// Tasks skipped because a resume checkpoint already recorded them.
     pub resumed: usize,
-    /// Watchdog reports, if a deadline was configured.
-    pub stalls: Vec<StallEvent>,
     /// Why the supervisor stopped the run early, if it did. `Some` implies
     /// at least one [`ShardOutcome::Skipped`]/[`ShardOutcome::TimedOut`]
     /// entry; a run that drained to completion reports `None` even if a
@@ -545,14 +534,69 @@ pub struct ResilientRun<R> {
 }
 
 impl<R> ResilientRun<R> {
-    /// The quarantined shards, in task order.
-    pub fn failures(&self) -> Vec<&ShardFailure> {
-        self.results.iter().filter_map(|r| r.failure()).collect()
-    }
-
     /// Whether every shard completed.
     pub fn is_clean(&self) -> bool {
         self.results.iter().all(|r| r.is_done())
+    }
+
+    /// The process exit code: [`EXIT_BUDGET`] when the budget cut the
+    /// run short (the output is partial and a `--resume` can finish it),
+    /// else [`EXIT_QUARANTINED`] when shards exhausted their retries,
+    /// else 0.
+    pub fn exit_code(&self) -> i32 {
+        if self.stop.is_some() || self.results.iter().any(ShardOutcome::is_budget_gap) {
+            EXIT_BUDGET
+        } else if self.results.iter().any(|r| r.failure().is_some()) {
+            EXIT_QUARANTINED
+        } else {
+            0
+        }
+    }
+
+    /// Prints the resume, quarantine, early-stop and (with `pool`) pool
+    /// lines to stderr; stdout stays reserved for the deterministic
+    /// tables that scripts diff. A clean run without `pool` prints
+    /// nothing.
+    pub fn eprint_summary(&self, pool: bool) {
+        if self.resumed > 0 {
+            eprintln!(
+                "resumed: {} shard(s) restored from checkpoint",
+                self.resumed
+            );
+        }
+        for failure in self.results.iter().filter_map(ShardOutcome::failure) {
+            eprintln!("{failure}");
+        }
+        if let Some(stop) = self.stop {
+            let unfinished = self.results.iter().filter(|r| r.is_budget_gap()).count();
+            eprintln!(
+                "campaign stopped early: {stop} ({unfinished} of {} task(s) unfinished)",
+                self.results.len()
+            );
+        }
+        if pool {
+            eprintln!("pool: {}", self.stats.render());
+        }
+    }
+}
+
+impl ResilientRun<Measurement> {
+    /// Cell `cell` of a [`measure_cells_resilient`] run at `trials`
+    /// trials per placement: the merge of the cell's completed shards,
+    /// and the [`ShardOutcome::worst`] gap of its shard range (`None`
+    /// when the cell is fully measured).
+    pub fn cell(
+        &self,
+        cell: usize,
+        trials: u32,
+    ) -> (Measurement, Option<&ShardOutcome<Measurement>>) {
+        let per_cell = trials.div_ceil(TRIALS_PER_SHARD) as usize;
+        let shards = &self.results[cell * per_cell..(cell + 1) * per_cell];
+        let merged = shards
+            .iter()
+            .filter_map(ShardOutcome::done)
+            .fold(Measurement::ZERO, |m, shard| m.merge(*shard));
+        (merged, ShardOutcome::worst(shards))
     }
 }
 
@@ -566,13 +610,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker watchdog bookkeeping: when (nanos since run start, +1 so 0
-/// means idle) the worker started its current shard, and which shard.
-struct WatchSlot {
-    started: AtomicU64,
-    task: AtomicUsize,
-}
-
 /// The run's delivered outcomes and checkpoint, shared by the workers.
 struct Collector<R> {
     slots: Vec<Option<ShardOutcome<R>>>,
@@ -582,9 +619,9 @@ struct Collector<R> {
 }
 
 /// Runs `f` over every task on a panic-isolated pool of `workers` scoped
-/// threads with deterministic retry, optional checkpoint/resume, an
-/// optional stall watchdog, the resource budget, and optional fault
-/// injection — the one engine every campaign runs on.
+/// threads with deterministic retry, optional checkpoint/resume, the
+/// resource budget, and optional fault injection — the one engine every
+/// campaign runs on.
 ///
 /// Results land in task order, and — provided `f` is a pure function of
 /// its task — are bitwise identical for any worker count, any
@@ -594,12 +631,62 @@ struct Collector<R> {
 /// count are rejected rather than resumed. `label` renders a task's
 /// coordinates for quarantine reports and telemetry.
 ///
-/// `telemetry` receives the shard-lifecycle slice of the event schema —
-/// resume restores, claim/complete/retry/quarantine/preempt/skip,
-/// checkpoint flushes (pass [`Telemetry::disabled`] for none).
-/// Campaign-level start/stop events belong to the *caller*, which knows
-/// the driver identity.
+/// `telemetry` receives the campaign's event stream (pass
+/// [`Telemetry::disabled`] for none): a `campaign_start` envelope naming
+/// the handle's driver, then resume restores,
+/// claim/complete/retry/quarantine/preempt/skip and checkpoint flushes,
+/// then a `campaign_stop` envelope — also when `--kill-after`
+/// interrupts the run.
 pub fn run_sharded_resilient<T, R, F>(
+    tasks: &[T],
+    workers: NonZeroUsize,
+    policy: &RunPolicy,
+    fingerprint: u64,
+    label: &(dyn Fn(&T) -> String + Sync),
+    telemetry: &Telemetry,
+    f: F,
+) -> Result<ResilientRun<R>, CampaignError>
+where
+    T: Sync,
+    R: Send + Record,
+    F: Fn(&T) -> R + Sync,
+{
+    if !telemetry.is_armed() {
+        return run_engine(tasks, workers, policy, fingerprint, label, telemetry, f);
+    }
+    telemetry.emit(Event::CampaignStart {
+        driver: telemetry.driver().to_owned(),
+        fingerprint,
+        tasks: tasks.len() as u64,
+        workers: workers.get() as u64,
+    });
+    let run = run_engine(tasks, workers, policy, fingerprint, label, telemetry, f);
+    let stop = match &run {
+        Ok(run) => Some(Event::CampaignStop {
+            reason: run.stop.map_or("complete", stop_reason_str).to_owned(),
+            completed: run.results.iter().filter(|r| r.is_done()).count() as u64,
+            total: run.results.len() as u64,
+            wall_ns: duration_ns(run.stats.wall),
+        }),
+        Err(CampaignError::Interrupted {
+            completed, total, ..
+        }) => Some(Event::CampaignStop {
+            reason: "kill-after".to_owned(),
+            completed: *completed as u64,
+            total: *total as u64,
+            wall_ns: 0,
+        }),
+        Err(CampaignError::Checkpoint(_)) => None,
+    };
+    if let Some(stop) = stop {
+        telemetry.emit(stop);
+    }
+    telemetry.flush();
+    run
+}
+
+/// [`run_sharded_resilient`] without the campaign envelope.
+fn run_engine<T, R, F>(
     tasks: &[T],
     workers: NonZeroUsize,
     policy: &RunPolicy,
@@ -740,12 +827,9 @@ where
     // First supervisor stop observed at a claim boundary; set-once so the
     // reported reason is the one that actually stopped the claim loop.
     let stop_slot: OnceLock<StopReason> = OnceLock::new();
-    let watch: Vec<WatchSlot> = (0..worker_count)
-        .map(|_| WatchSlot {
-            started: AtomicU64::new(0),
-            task: AtomicUsize::new(0),
-        })
-        .collect();
+    // When (nanos since run start, +1 so 0 means idle) each worker
+    // started its current shard; the cell-deadline monitor reads it.
+    let shard_started: Vec<AtomicU64> = (0..worker_count).map(|_| AtomicU64::new(0)).collect();
     // One preemption flag per worker, shared with the monitor thread; the
     // worker arms its thread-local alias around each shard so the trial
     // loop's `preempt_point` can observe it.
@@ -787,7 +871,7 @@ where
     };
 
     let work = |w: usize| -> WorkerStats {
-        let watch_slot = &watch[w];
+        let shard_started = &shard_started[w];
         let preempt_flag = &preempt[w];
         let mut stats = WorkerStats::default();
         loop {
@@ -816,12 +900,9 @@ where
                     label: label(task),
                 });
             }
-            watch_slot.task.store(i, Ordering::Release);
-            watch_slot
-                .started
-                .store(started.elapsed().as_nanos() as u64 + 1, Ordering::Release);
+            shard_started.store(started.elapsed().as_nanos() as u64 + 1, Ordering::Release);
             if cell_deadline.is_some() {
-                // Re-arm after the watch slot is current, so a monitor
+                // Re-arm after the start time is current, so a monitor
                 // reading the *previous* shard's start time can at worst
                 // preempt this shard a few trials early — never let it
                 // run unbounded.
@@ -878,7 +959,7 @@ where
             if cell_deadline.is_some() {
                 supervisor::set_preempt_flag(None);
             }
-            watch_slot.started.store(0, Ordering::Release);
+            shard_started.store(0, Ordering::Release);
             stats.busy += t0.elapsed();
             stats.shards += 1;
             if telemetry.is_armed() {
@@ -914,7 +995,6 @@ where
     };
 
     let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(worker_count);
-    let mut stalls: Vec<StallEvent> = Vec::new();
     std::thread::scope(|scope| {
         // Worker 0 is the calling thread; the others are scoped threads.
         let helpers: Vec<_> = (1..worker_count)
@@ -924,61 +1004,30 @@ where
             })
             .collect();
 
-        // One monitor thread serves the stall watchdog (report-only) and
-        // the budget's cell deadline (preempting). Polling granularity
-        // follows the tightest configured bound.
-        let stall_deadline = policy.stall_deadline;
-        let tightest = [stall_deadline, cell_deadline].into_iter().flatten().min();
-        let monitor = tightest.map(|tightest| {
-            let watch = &watch;
+        // The budget's cell deadline gets one monitor thread, which
+        // preempts shards that overrun it. Polling granularity follows
+        // the deadline.
+        if let Some(deadline) = cell_deadline {
+            let shard_started = &shard_started;
             let done = &done;
             let preempt = &preempt;
             scope.spawn(move || {
-                let poll = (tightest / 8)
+                let poll = (deadline / 8)
                     .max(Duration::from_millis(2))
                     .min(Duration::from_millis(200));
-                let mut flagged: HashSet<(usize, usize)> = HashSet::new();
-                let mut stalls = Vec::new();
+                let deadline_ns = deadline.as_nanos() as u64;
                 while !done.load(Ordering::Acquire) {
                     let now_ns = started.elapsed().as_nanos() as u64;
-                    for (w, slot) in watch.iter().enumerate() {
-                        let s = slot.started.load(Ordering::Acquire);
-                        if s == 0 {
-                            continue;
-                        }
-                        let elapsed = now_ns.saturating_sub(s - 1);
-                        if let Some(deadline) = stall_deadline {
-                            if elapsed > deadline.as_nanos() as u64 {
-                                let task = slot.task.load(Ordering::Acquire);
-                                if flagged.insert((w, task)) {
-                                    let waited = Duration::from_nanos(elapsed);
-                                    if telemetry.is_armed() {
-                                        telemetry.emit(Event::WorkerStall {
-                                            task: task as u64,
-                                            worker: w as u64,
-                                            label: label(&tasks[task]),
-                                            wall_ns: duration_ns(waited),
-                                        });
-                                    }
-                                    stalls.push(StallEvent {
-                                        worker: w,
-                                        task,
-                                        waited,
-                                    });
-                                }
-                            }
-                        }
-                        if let Some(deadline) = cell_deadline {
-                            if elapsed > deadline.as_nanos() as u64 {
-                                preempt[w].store(true, Ordering::Release);
-                            }
+                    for (w, since) in shard_started.iter().enumerate() {
+                        let s = since.load(Ordering::Acquire);
+                        if s != 0 && now_ns.saturating_sub(s - 1) > deadline_ns {
+                            preempt[w].store(true, Ordering::Release);
                         }
                     }
                     std::thread::sleep(poll);
                 }
-                stalls
-            })
-        });
+            });
+        }
 
         worker_stats.push(work(0));
         for handle in helpers {
@@ -989,12 +1038,8 @@ where
                 worker_stats.push(stats);
             }
         }
+        // Stops the monitor; the scope joins it.
         done.store(true, Ordering::Release);
-        if let Some(handle) = monitor {
-            if let Ok(observed) = handle.join() {
-                stalls = observed;
-            }
-        }
     });
     let Collector { slots, mut ck, .. } = collector
         .into_inner()
@@ -1061,7 +1106,6 @@ where
         wall: started.elapsed(),
         workers: worker_stats,
         quarantined: results.iter().filter(|r| r.failure().is_some()).count(),
-        stalled: stalls.len(),
         skipped: results
             .iter()
             .filter(|r| matches!(r, ShardOutcome::Skipped(_)))
@@ -1075,84 +1119,8 @@ where
         results,
         stats,
         resumed,
-        stalls,
         stop,
     })
-}
-
-/// Why a cell is missing trials under the resource budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellGap {
-    /// At least one of the cell's shards overran the per-shard deadline
-    /// and was preempted (rendered `TIMEOUT`).
-    Timeout,
-    /// The supervisor stopped the campaign before all of the cell's
-    /// shards ran (rendered `PARTIAL`).
-    Stopped(StopReason),
-}
-
-impl CellGap {
-    /// The table marker for this gap.
-    pub fn marker(&self) -> &'static str {
-        match self {
-            CellGap::Timeout => "TIMEOUT",
-            CellGap::Stopped(_) => "PARTIAL",
-        }
-    }
-}
-
-/// The outcome of one campaign cell under the fault-tolerant engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutcome {
-    /// Every shard of the cell completed; the full measurement.
-    Measured(Measurement),
-    /// At least one shard was quarantined. The partial measurement covers
-    /// the shards that did complete; `failure` is the first quarantined
-    /// shard's report.
-    Quarantined {
-        /// Merged measurement of the cell's completed shards.
-        partial: Measurement,
-        /// The first quarantined shard of this cell.
-        failure: ShardFailure,
-    },
-    /// The cell is missing trials because of the resource budget — the
-    /// campaign stopped (or the cell's shards timed out) before it
-    /// finished. The run is resumable; nothing was quarantined.
-    Partial {
-        /// Merged measurement of the cell's completed shards.
-        partial: Measurement,
-        /// Why trials are missing (selects the `TIMEOUT`/`PARTIAL`
-        /// marker; a timeout wins when both apply, being the more
-        /// specific diagnosis).
-        gap: CellGap,
-    },
-}
-
-impl CellOutcome {
-    /// The full measurement, if the cell completed.
-    pub fn measurement(&self) -> Option<Measurement> {
-        match self {
-            CellOutcome::Measured(m) => Some(*m),
-            CellOutcome::Quarantined { .. } | CellOutcome::Partial { .. } => None,
-        }
-    }
-}
-
-/// A fault-tolerant campaign over `(vulnerability, design)` cells.
-#[derive(Debug)]
-pub struct CampaignOutcome {
-    /// One outcome per cell, in input order. Cells are never silently
-    /// dropped: a cell is either fully measured or explicitly
-    /// quarantined.
-    pub cells: Vec<CellOutcome>,
-    /// Pool timing plus resilience counters.
-    pub stats: PoolStats,
-    /// Shards skipped via the resume checkpoint.
-    pub resumed: usize,
-    /// Watchdog reports.
-    pub stalls: Vec<StallEvent>,
-    /// Why the supervisor stopped the campaign early, if it did.
-    pub stop: Option<StopReason>,
 }
 
 /// The campaign fingerprint of a cell list under `settings` — what a
@@ -1176,15 +1144,12 @@ pub fn cells_fingerprint(cells: &[(Vulnerability, TlbDesign)], settings: &TrialS
 }
 
 /// Measures `(vulnerability, design)` campaign cells on the engine: the
-/// cells are split into [`TRIALS_PER_SHARD`]-trial shards, run through
-/// [`run_sharded_resilient`], and merged back per cell. Worker panics
-/// are isolated and retried, completed shards are checkpointed, and
-/// shards that keep failing quarantine their cell instead of killing the
-/// run. A clean cell's measurement is bitwise identical to
-/// [`crate::run::run_vulnerability`]'s.
-///
-/// `telemetry` wraps the engine's shard-lifecycle events in the campaign
-/// start/stop envelope (the driver identity comes from the handle).
+/// cells are split into [`TRIALS_PER_SHARD`]-trial shards and run
+/// through [`run_sharded_resilient`]; [`ResilientRun::cell`] merges them
+/// back per cell. Worker panics are isolated and retried, completed
+/// shards are checkpointed, and shards that keep failing are quarantined
+/// instead of killing the run. A clean cell's measurement is bitwise
+/// identical to [`crate::run::run_vulnerability`]'s.
 pub fn measure_cells_resilient(
     cells: &[(Vulnerability, TlbDesign)],
     settings: &TrialSettings,
@@ -1192,26 +1157,17 @@ pub fn measure_cells_resilient(
     policy: &RunPolicy,
     telemetry: &Telemetry,
     customize: &(dyn Fn(MachineBuilder) -> MachineBuilder + Sync),
-) -> Result<CampaignOutcome, CampaignError> {
+) -> Result<ResilientRun<Measurement>, CampaignError> {
     let prepared: Vec<TrialCell> = cells
         .iter()
         .map(|(v, d)| TrialCell::new(v, *d, settings.config))
         .collect();
     let shards = plan_shards(cells.len(), settings.trials);
-    let fingerprint = cells_fingerprint(cells, settings);
-    if telemetry.is_armed() {
-        telemetry.emit(Event::CampaignStart {
-            driver: telemetry.driver().to_owned(),
-            fingerprint,
-            tasks: shards.len() as u64,
-            workers: workers.get() as u64,
-        });
-    }
-    let run = run_sharded_resilient(
+    run_sharded_resilient(
         &shards,
         workers,
         policy,
-        fingerprint,
+        cells_fingerprint(cells, settings),
         &|shard| {
             let (v, d) = &cells[shard.cell];
             format!("{v} on {d} TLB, trials {}..{}", shard.lo, shard.hi)
@@ -1225,77 +1181,7 @@ pub fn measure_cells_resilient(
                 customize,
             )
         },
-    );
-    let run = match run {
-        Ok(run) => run,
-        Err(e) => {
-            if telemetry.is_armed() {
-                if let CampaignError::Interrupted {
-                    completed, total, ..
-                } = &e
-                {
-                    telemetry.emit(Event::CampaignStop {
-                        reason: "kill-after".to_owned(),
-                        completed: *completed as u64,
-                        total: *total as u64,
-                        wall_ns: 0,
-                    });
-                }
-                telemetry.flush();
-            }
-            return Err(e);
-        }
-    };
-    if telemetry.is_armed() {
-        telemetry.emit(Event::CampaignStop {
-            reason: run.stop.map_or("complete", stop_reason_str).to_owned(),
-            completed: run.results.iter().filter(|r| r.is_done()).count() as u64,
-            total: run.results.len() as u64,
-            wall_ns: duration_ns(run.stats.wall),
-        });
-        telemetry.flush();
-    }
-
-    let mut merged = vec![Measurement::ZERO; cells.len()];
-    let mut first_failure: Vec<Option<ShardFailure>> = vec![None; cells.len()];
-    let mut gap: Vec<Option<CellGap>> = vec![None; cells.len()];
-    for (shard, result) in shards.iter().zip(&run.results) {
-        match result {
-            ShardOutcome::Done(partial) => merged[shard.cell] = merged[shard.cell].merge(*partial),
-            ShardOutcome::Quarantined(failure) => {
-                if first_failure[shard.cell].is_none() {
-                    first_failure[shard.cell] = Some(failure.clone());
-                }
-            }
-            ShardOutcome::TimedOut(_) => gap[shard.cell] = Some(CellGap::Timeout),
-            ShardOutcome::Skipped(reason) => {
-                if gap[shard.cell].is_none() {
-                    gap[shard.cell] = Some(CellGap::Stopped(*reason));
-                }
-            }
-        }
-    }
-    let outcomes: Vec<CellOutcome> = merged
-        .into_iter()
-        .zip(first_failure)
-        .zip(gap)
-        .map(|((m, failure), gap)| match (failure, gap) {
-            (Some(failure), _) => CellOutcome::Quarantined {
-                partial: m,
-                failure,
-            },
-            (None, Some(gap)) => CellOutcome::Partial { partial: m, gap },
-            (None, None) => CellOutcome::Measured(m),
-        })
-        .collect();
-
-    Ok(CampaignOutcome {
-        cells: outcomes,
-        stats: run.stats,
-        resumed: run.resumed,
-        stalls: run.stalls,
-        stop: run.stop,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -1438,34 +1324,6 @@ mod tests {
             }
         }
         assert_eq!(run.stats.quarantined, expected_fatal.len());
-    }
-
-    #[test]
-    fn watchdog_reports_stalled_shards() {
-        let _latch = supervisor::latch_guard();
-        let tasks: Vec<u64> = (0..4).collect();
-        let policy = RunPolicy {
-            stall_deadline: Some(Duration::from_millis(10)),
-            ..RunPolicy::default()
-        };
-        let run = run_sharded_resilient(
-            &tasks,
-            two(),
-            &policy,
-            4,
-            &|t| format!("t{t}"),
-            &off(),
-            |&t| {
-                if t == 2 {
-                    std::thread::sleep(Duration::from_millis(60));
-                }
-                t
-            },
-        )
-        .expect("completes");
-        assert!(run.is_clean());
-        assert!(run.stats.stalled >= 1, "stall detected");
-        assert!(run.stalls.iter().any(|s| s.task == 2), "{:?}", run.stalls);
     }
 
     #[test]
@@ -1662,13 +1520,13 @@ mod tests {
             .into_iter()
             .flat_map(|v| [(v, TlbDesign::Sa), (v, TlbDesign::Rf)])
             .collect();
-        let reference: Vec<CellOutcome> = cells
+        let reference: Vec<(Measurement, Option<&ShardOutcome<Measurement>>)> = cells
             .iter()
-            .map(|(v, d)| CellOutcome::Measured(crate::run::run_vulnerability(v, *d, &settings)))
+            .map(|(v, d)| (crate::run::run_vulnerability(v, *d, &settings), None))
             .collect();
         for workers in [1usize, 2, 4] {
             let w = NonZeroUsize::new(workers).expect("nonzero");
-            let outcome = measure_cells_resilient(
+            let run = measure_cells_resilient(
                 &cells,
                 &settings,
                 w,
@@ -1677,11 +1535,15 @@ mod tests {
                 &|b| b,
             )
             .expect("clean");
-            assert_eq!(outcome.cells, reference, "workers={workers} diverged");
+            let measured: Vec<_> = (0..cells.len())
+                .map(|c| run.cell(c, settings.trials))
+                .collect();
+            assert_eq!(measured, reference, "workers={workers} diverged");
             assert_eq!(
-                outcome.stats.trials(),
+                run.stats.trials(),
                 u64::from(settings.trials) * cells.len() as u64
             );
+            assert_eq!(run.exit_code(), 0);
         }
     }
 }

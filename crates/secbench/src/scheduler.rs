@@ -2,8 +2,8 @@
 //!
 //! The campaign engine ([`crate::resilience`]) used to hand out shards
 //! from a single atomic index: workers claimed tasks in
-//! strict queue order, so a worker stuck behind an expensive shard (an
-//! injected stall, a preemption-bound retry loop) left the rest of the pool idle once the tail of the queue
+//! strict queue order, so a worker stuck behind an expensive shard (a
+//! slow cell, a preemption-bound retry loop) left the rest of the pool idle once the tail of the queue
 //! was drained. This module replaces that claim loop with per-worker
 //! deques and classic work stealing:
 //!
@@ -24,7 +24,7 @@
 //! merged by commutative sums into per-task slots. Campaign output is
 //! therefore bitwise identical for any worker count and any steal
 //! schedule — the property `tests/scheduler_determinism.rs` pins by
-//! forcing steals with injected stalls.
+//! forcing steals with planted sleeps.
 //!
 //! The queues are plain `Mutex<VecDeque<_>>`s rather than lock-free
 //! Chase-Lev deques: the crate forbids `unsafe`, shards are coarse

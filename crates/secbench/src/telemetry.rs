@@ -9,12 +9,12 @@
 //!
 //! - **Events** ([`Event`], [`Envelope`]): one JSON object per line
 //!   (JSONL), schema-versioned via the `"v"` field ([`SCHEMA_VERSION`])
-//!   and sequence-numbered per sink. The engine emits per-shard
+//!   and sequence-numbered per sink. The engine emits the campaign
+//!   start/stop envelope (with the full settings fingerprint), per-shard
 //!   claim/complete/retry/quarantine/preempt/skip events with wall-clock
-//!   nanoseconds, checkpoint flushes, and resume restores; drivers emit campaign
-//!   start/stop (with the full settings fingerprint) and oracle
-//!   violations; the `replay` binary emits replay outcomes in the same
-//!   schema.
+//!   nanoseconds, checkpoint flushes, and resume restores; drivers emit
+//!   oracle violations; the `replay` binary emits replay outcomes in the
+//!   same schema.
 //! - **Metrics** ([`render_metrics`]): an end-of-run JSON snapshot
 //!   aggregating [`PoolStats`] — per-phase timings, throughput, worker
 //!   utilization, and a shard-latency histogram — conventionally written
@@ -187,19 +187,6 @@ pub enum Event {
         verdict: String,
         /// Operations in the replayed trace.
         ops: u64,
-    },
-    /// The watchdog flagged a worker as exceeding the per-shard stall
-    /// deadline (report-only; the shard keeps running).
-    WorkerStall {
-        /// Task index.
-        task: u64,
-        /// The stalled worker's id.
-        worker: u64,
-        /// Human-readable shard coordinates.
-        label: String,
-        /// How long the shard had been running when flagged, in
-        /// nanoseconds.
-        wall_ns: u64,
     },
     /// End-of-run steal counter for one worker (emitted only when
     /// nonzero).
@@ -614,18 +601,6 @@ impl Envelope {
                 b.str("verdict", verdict);
                 b.num("ops", *ops);
             }
-            Event::WorkerStall {
-                task,
-                worker,
-                label,
-                wall_ns,
-            } => {
-                b.str("event", "worker_stall");
-                b.num("task", *task);
-                b.num("worker", *worker);
-                b.str("label", label);
-                b.num("wall_ns", *wall_ns);
-            }
             Event::StealSummary { worker, stolen } => {
                 b.str("event", "steal_summary");
                 b.num("worker", *worker);
@@ -782,15 +757,6 @@ impl Envelope {
                     file: str_field(&f, 3, "file")?,
                     verdict: str_field(&f, 4, "verdict")?,
                     ops: num(&f, 5, "ops")?,
-                }
-            }
-            "worker_stall" => {
-                expect_len(7)?;
-                Event::WorkerStall {
-                    task: num(&f, 3, "task")?,
-                    worker: num(&f, 4, "worker")?,
-                    label: str_field(&f, 5, "label")?,
-                    wall_ns: num(&f, 6, "wall_ns")?,
                 }
             }
             "steal_summary" => {
@@ -1036,12 +1002,11 @@ pub fn render_metrics(
     out.push_str("],\n");
     out.push_str(&format!(
         "  \"shards\": {{\"done\": {}, \"retried\": {}, \"stolen\": {}, \"quarantined\": {}, \
-         \"stalled\": {}, \"skipped\": {}, \"preempted\": {}}},\n",
+         \"skipped\": {}, \"preempted\": {}}},\n",
         s.shards(),
         s.retried(),
         s.stolen(),
         s.quarantined,
-        s.stalled,
         s.skipped,
         s.preempted
     ));
@@ -1171,12 +1136,6 @@ mod tests {
                 verdict: "reproduced".to_owned(),
                 ops: 42,
             },
-            Event::WorkerStall {
-                task: 9,
-                worker: 2,
-                label: "V2 on Rf TLB, trials 25..50".to_owned(),
-                wall_ns: 750_000_000,
-            },
             Event::StealSummary {
                 worker: 3,
                 stolen: 11,
@@ -1267,7 +1226,6 @@ mod tests {
                 },
             ],
             quarantined: 1,
-            stalled: 0,
             skipped: 2,
             preempted: 0,
         };

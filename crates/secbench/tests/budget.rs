@@ -15,7 +15,7 @@ use sectlb_secbench::checkpoint::Checkpoint;
 use sectlb_secbench::extended::{extended_benchmarks, run_extended, ExtDesign};
 use sectlb_secbench::report::{build_table4, table4_cells};
 use sectlb_secbench::resilience::{
-    measure_cells_resilient, run_sharded_resilient, CellGap, CellOutcome, RunPolicy, ShardOutcome,
+    measure_cells_resilient, run_sharded_resilient, ResilientRun, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::supervisor::{BudgetPolicy, StopReason, EXIT_BUDGET};
@@ -52,10 +52,13 @@ fn off() -> Telemetry {
     Telemetry::disabled()
 }
 
-fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
-    outcomes
-        .iter()
-        .map(|c| c.measurement().expect("cell measured"))
+/// Every cell's measurement, asserting that each one is complete.
+fn measurements(run: &ResilientRun<Measurement>) -> Vec<Measurement> {
+    (0..cells().len())
+        .map(|c| match run.cell(c, settings().trials) {
+            (m, None) => m,
+            (_, Some(gap)) => panic!("cell {c} not measured: {gap:?}"),
+        })
         .collect()
 }
 
@@ -101,14 +104,16 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
     .expect("budget stop is not an error");
     assert_eq!(stopped.stop, Some(StopReason::DeadlineExpired));
     assert!(path.exists(), "checkpoint flushed on the budget stop");
-    for outcome in &stopped.cells {
-        match outcome {
-            CellOutcome::Partial { partial, gap } => {
-                assert_eq!(*gap, CellGap::Stopped(StopReason::DeadlineExpired));
-                assert_eq!(partial.trials, 0, "nothing ran under a zero deadline");
-            }
-            other => panic!("expected every cell Partial, got {other:?}"),
-        }
+    for c in 0..cells.len() {
+        let (partial, gap) = stopped.cell(c, settings.trials);
+        assert!(
+            matches!(
+                gap,
+                Some(ShardOutcome::Skipped(StopReason::DeadlineExpired))
+            ),
+            "expected every cell Partial, got {gap:?}"
+        );
+        assert_eq!(partial.trials, 0, "nothing ran under a zero deadline");
     }
 
     // Resume without a budget: the completed campaign must be bitwise
@@ -127,7 +132,7 @@ fn expired_deadline_reports_partial_cells_then_resume_matches_bitwise() {
     )
     .expect("resumed campaign completes");
     assert_eq!(resumed.stop, None);
-    assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
+    assert_eq!(measurements(&resumed), measurements(&reference));
     std::fs::remove_file(&path).ok();
 }
 
@@ -175,7 +180,7 @@ fn mid_campaign_deadline_still_resumes_bitwise_identical() {
     } else {
         run // the machine beat the deadline; the run is already complete
     };
-    assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
+    assert_eq!(measurements(&resumed), measurements(&reference));
     std::fs::remove_file(&path).ok();
 }
 
@@ -194,9 +199,9 @@ fn budget_stopped_table4_renders_partial_markers_and_exits_budget_code() {
     };
     let report = build_table4(&TlbDesign::ALL, &settings, workers(), &policy, &off())
         .expect("budget stop still renders a report");
-    assert_eq!(report.stop, Some(StopReason::DeadlineExpired));
+    assert_eq!(report.run.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(report.partial.len(), table4_cells().len());
-    assert_eq!(report.exit_code(), EXIT_BUDGET);
+    assert_eq!(report.run.exit_code(), EXIT_BUDGET);
     let text = report.render();
     assert!(text.contains("PARTIAL"), "{text}");
     assert!(text.contains("incomplete (PARTIAL/TIMEOUT)"), "{text}");

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use sectlb_model::{enumerate_vulnerabilities, Vulnerability};
 use sectlb_secbench::report::{build_table4, CampaignReport};
 use sectlb_secbench::resilience::{
-    measure_cells_resilient, CampaignError, CellOutcome, FaultPlan, RunPolicy,
+    measure_cells_resilient, CampaignError, FaultPlan, ResilientRun, RunPolicy, ShardOutcome,
 };
 use sectlb_secbench::run::{run_vulnerability, Measurement, TrialSettings};
 use sectlb_secbench::telemetry::Telemetry;
@@ -52,10 +52,13 @@ fn table4(settings: &TrialSettings, workers: NonZeroUsize, policy: &RunPolicy) -
     build_table4(&TlbDesign::ALL, settings, workers, policy, &off()).expect("campaign completes")
 }
 
-fn measurements(outcomes: &[CellOutcome]) -> Vec<Measurement> {
-    outcomes
-        .iter()
-        .map(|c| c.measurement().expect("cell measured"))
+/// Every cell's measurement, asserting that each one is complete.
+fn measurements(run: &ResilientRun<Measurement>) -> Vec<Measurement> {
+    (0..cells().len())
+        .map(|c| match run.cell(c, settings().trials) {
+            (m, None) => m,
+            (_, Some(gap)) => panic!("cell {c} not measured: {gap:?}"),
+        })
         .collect()
 }
 
@@ -76,7 +79,7 @@ fn resilient_engine_matches_the_reference_loop_bitwise() {
         &|b| b,
     )
     .expect("clean campaign");
-    assert_eq!(measurements(&resilient.cells), plain);
+    assert_eq!(measurements(&resilient), plain);
     assert_eq!(resilient.stats.quarantined, 0);
     assert_eq!(resilient.resumed, 0);
 }
@@ -138,7 +141,7 @@ fn kill_and_resume_is_bitwise_identical_to_uninterrupted() {
     )
     .expect("resumed campaign completes");
     assert!(resumed.resumed >= 5, "checkpointed shards were skipped");
-    assert_eq!(measurements(&resumed.cells), measurements(&reference.cells));
+    assert_eq!(measurements(&resumed), measurements(&reference));
     std::fs::remove_file(&path).ok();
 }
 
@@ -183,10 +186,7 @@ fn repeated_kills_then_resume_still_converge() {
         measure_cells_resilient(&cells, &settings, workers(), &final_policy, &off(), &|b| b)
             .expect("final phase completes");
     assert!(finished.resumed >= 3);
-    assert_eq!(
-        measurements(&finished.cells),
-        measurements(&reference.cells)
-    );
+    assert_eq!(measurements(&finished), measurements(&reference));
     std::fs::remove_file(&path).ok();
 }
 
@@ -245,7 +245,7 @@ fn injected_transient_panics_converge_after_retry() {
         .expect("faulty campaign converges");
     assert!(run.stats.retried() > 0, "faults were actually injected");
     assert_eq!(run.stats.quarantined, 0, "retries absorbed every fault");
-    assert_eq!(measurements(&run.cells), measurements(&reference.cells));
+    assert_eq!(measurements(&run), measurements(&reference));
 }
 
 #[test]
@@ -269,15 +269,14 @@ fn permanent_faults_quarantine_cells_and_never_silently_drop_one() {
         .expect("campaign completes despite permanent faults");
     // Every input cell is accounted for — measured or explicitly
     // quarantined with coordinates; quarantine is never a silent gap.
-    assert_eq!(run.cells.len(), cells.len());
-    let quarantined: Vec<_> = run
-        .cells
+    let quarantined: Vec<_> = cells
         .iter()
-        .zip(&cells)
-        .filter_map(|(outcome, (v, d))| match outcome {
-            CellOutcome::Quarantined { failure, .. } => Some((v, d, failure)),
-            // No budget is configured, so Partial cannot appear.
-            _ => None,
+        .enumerate()
+        .filter_map(|(c, (v, d))| match run.cell(c, settings.trials).1 {
+            Some(ShardOutcome::Quarantined(failure)) => Some((v, d, failure)),
+            // No budget is configured, so no other gap can appear.
+            Some(other) => panic!("unexpected gap {other:?}"),
+            None => None,
         })
         .collect();
     assert!(
@@ -306,7 +305,7 @@ fn build_table4_matches_across_worker_counts() {
     let report = table4(&settings, workers(), &RunPolicy::default());
     assert_eq!(report.table, plain.table);
     assert!(report.quarantined.is_empty());
-    assert_eq!(report.exit_code(), 0);
+    assert_eq!(report.run.exit_code(), 0);
     // A clean table renders byte-identically through the masked path.
     assert_eq!(report.render(), plain.table.render());
 }
@@ -340,5 +339,5 @@ fn quarantined_cells_render_as_quarantined_not_as_numbers() {
     );
     assert!(text.contains("quarantined cell ["), "{text}");
     assert!(text.contains("quarantined and excluded"), "{text}");
-    assert_eq!(report.exit_code(), sectlb_secbench::EXIT_QUARANTINED);
+    assert_eq!(report.run.exit_code(), sectlb_secbench::EXIT_QUARANTINED);
 }

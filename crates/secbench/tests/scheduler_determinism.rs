@@ -6,20 +6,21 @@
 //!
 //! Steals are forced, not hoped for: every case plants deterministic
 //! sleeps on a random subset of tasks (skewing some workers' chunks),
-//! and the campaign case additionally injects scheduler-visible stalls
-//! through the engine's fault plan. Whatever the schedule, workers ∈
-//! {1, 2, 4, 8} must agree byte-for-byte with the reference.
+//! the campaign case on real Table 4 trial ranges. Whatever the
+//! schedule, workers ∈ {1, 2, 4, 8} must agree byte-for-byte with the
+//! reference.
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use sectlb_model::enumerate_vulnerabilities;
-use sectlb_secbench::resilience::{
-    measure_cells_resilient, run_sharded_resilient, FaultPlan, RunPolicy,
+use sectlb_secbench::resilience::{run_sharded_resilient, RunPolicy};
+use sectlb_secbench::run::{
+    run_trial_range, run_vulnerability, Measurement, TrialCell, TrialSettings,
 };
-use sectlb_secbench::run::{Measurement, TrialSettings};
 use sectlb_secbench::telemetry::Telemetry;
+use sectlb_sim::machine::TlbDesign;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -68,54 +69,62 @@ proptest! {
         }
     }
 
-    /// The full campaign engine: measurements for real Table 4 cells are
-    /// bitwise identical across worker counts while the fault plan
-    /// injects stalls that skew the deques and force steals.
+    /// The engine over real Table 4 trial ranges: per-cell
+    /// measurements are bitwise identical across worker counts, and
+    /// equal to the reference loop, while sleeps planted on a random
+    /// subset of the two-trial shards skew the deques and force steals.
     #[test]
     fn campaign_measurements_are_bitwise_identical_across_worker_counts(
         vuln_index in 0usize..24,
-        stall_per_mille in 100u16..=600,
+        slow_per_mille in 100u64..=600,
+        salt in any::<u64>(),
     ) {
         let vulns = enumerate_vulnerabilities();
-        let cells: Vec<_> = [vulns[vuln_index], vulns[(vuln_index + 7) % 24]]
-            .into_iter()
-            .flat_map(|v| sectlb_sim::machine::TlbDesign::ALL.map(|d| (v, d)))
-            .collect();
         let settings = TrialSettings {
             trials: 8,
             ..TrialSettings::default()
         };
-        let policy = RunPolicy {
-            faults: Some(FaultPlan {
-                stall_per_mille,
-                stall: Duration::from_millis(4),
-                ..FaultPlan::default()
-            }),
-            ..RunPolicy::default()
+        let cells: Vec<_> = [vulns[vuln_index], vulns[(vuln_index + 7) % 24]]
+            .into_iter()
+            .flat_map(|v| TlbDesign::ALL.map(|d| (v, d)))
+            .collect();
+        let prepared: Vec<TrialCell> = cells
+            .iter()
+            .map(|(v, d)| TrialCell::new(v, *d, settings.config))
+            .collect();
+        let reference: Vec<Measurement> = cells
+            .iter()
+            .map(|(v, d)| run_vulnerability(v, *d, &settings))
+            .collect();
+        // (cell, first trial) of every two-trial shard, in cell order.
+        let shards: Vec<(usize, u32)> = (0..cells.len())
+            .flat_map(|c| (0..settings.trials).step_by(2).map(move |lo| (c, lo)))
+            .collect();
+        let slow = |c: usize, lo: u32| {
+            let key = ((c as u64) << 32 | u64::from(lo)) ^ salt;
+            key.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 1000 < slow_per_mille
         };
-        let mut reference: Option<Vec<Measurement>> = None;
         for workers in WORKER_COUNTS {
-            let telemetry = Telemetry::disabled();
-            let run = measure_cells_resilient(
-                &cells,
-                &settings,
+            let run = run_sharded_resilient(
+                &shards,
                 nonzero(workers),
-                &policy,
-                &telemetry,
-                &|b| b,
+                &RunPolicy::default(),
+                salt,
+                &|&(c, lo)| format!("cell {c}, trials {lo}.."),
+                &Telemetry::disabled(),
+                |&(c, lo)| {
+                    if slow(c, lo) {
+                        std::thread::sleep(Duration::from_millis(4));
+                    }
+                    run_trial_range(&prepared[c], &settings, lo..lo + 2, &|b| b)
+                },
             )
-            .expect("stalls delay shards but never fail them");
-            let measured: Vec<Measurement> = run
-                .cells
-                .iter()
-                .map(|c| c.measurement().expect("every cell measured"))
-                .collect();
-            match &reference {
-                None => reference = Some(measured),
-                Some(expected) => {
-                    prop_assert_eq!(&measured, expected, "{} workers diverged", workers);
-                }
+            .expect("sleeps delay shards but never fail them");
+            let mut measured = vec![Measurement::ZERO; cells.len()];
+            for (&(c, _), result) in shards.iter().zip(&run.results) {
+                measured[c] = measured[c].merge(*result.done().expect("every shard done"));
             }
+            prop_assert_eq!(&measured, &reference, "{} workers diverged", workers);
         }
     }
 }

@@ -8,9 +8,11 @@
 //! serialization change breaks one of them and must bump
 //! [`sectlb_secbench::telemetry::SCHEMA_VERSION`].
 //!
-//! A third test runs real campaigns, over cells and over whole survey
-//! rows, and checks that the metrics snapshot reports simulated trial
-//! pairs beside the credited ones.
+//! Further tests check that a Table 4 campaign carries exactly one
+//! campaign envelope, also when `--kill-after` interrupts it, and run
+//! real campaigns, over cells and over whole survey rows, to check that
+//! the metrics snapshot reports simulated trial pairs beside the
+//! credited ones.
 
 use std::io::Write;
 use std::num::NonZeroUsize;
@@ -70,16 +72,18 @@ fn single_worker_run_emits_the_golden_event_stream() {
     let bytes = buf.0.lock().expect("buffer lock").clone();
     let text = String::from_utf8(bytes).expect("stream is UTF-8");
     let got: Vec<String> = text.lines().map(normalize_wall).collect();
-    // One worker drains the queue in task order: claim/complete pairs,
-    // strictly sequenced. No campaign envelope — that belongs to the
-    // driver-side caller, not the engine.
+    // The engine wraps the campaign in its start/stop envelope; inside
+    // it, one worker drains the queue in task order: claim/complete
+    // pairs, strictly sequenced.
     let expected = [
-        r#"{"v":1,"seq":0,"event":"shard_claim","task":0,"worker":0,"label":"task 5"}"#,
-        r#"{"v":1,"seq":1,"event":"shard_complete","task":0,"worker":0,"wall_ns":0}"#,
-        r#"{"v":1,"seq":2,"event":"shard_claim","task":1,"worker":0,"label":"task 6"}"#,
-        r#"{"v":1,"seq":3,"event":"shard_complete","task":1,"worker":0,"wall_ns":0}"#,
-        r#"{"v":1,"seq":4,"event":"shard_claim","task":2,"worker":0,"label":"task 7"}"#,
-        r#"{"v":1,"seq":5,"event":"shard_complete","task":2,"worker":0,"wall_ns":0}"#,
+        r#"{"v":1,"seq":0,"event":"campaign_start","driver":"golden","fingerprint":"000000000000abcd","tasks":3,"workers":1}"#,
+        r#"{"v":1,"seq":1,"event":"shard_claim","task":0,"worker":0,"label":"task 5"}"#,
+        r#"{"v":1,"seq":2,"event":"shard_complete","task":0,"worker":0,"wall_ns":0}"#,
+        r#"{"v":1,"seq":3,"event":"shard_claim","task":1,"worker":0,"label":"task 6"}"#,
+        r#"{"v":1,"seq":4,"event":"shard_complete","task":1,"worker":0,"wall_ns":0}"#,
+        r#"{"v":1,"seq":5,"event":"shard_claim","task":2,"worker":0,"label":"task 7"}"#,
+        r#"{"v":1,"seq":6,"event":"shard_complete","task":2,"worker":0,"wall_ns":0}"#,
+        r#"{"v":1,"seq":7,"event":"campaign_stop","reason":"complete","completed":3,"total":3,"wall_ns":0}"#,
     ];
     assert_eq!(got, expected, "full stream:\n{text}");
     // Every emitted line is canonical: parse accepts it and re-renders
@@ -90,6 +94,66 @@ fn single_worker_run_emits_the_golden_event_stream() {
     }
     // The handle collected one latency sample per completed shard.
     assert_eq!(telemetry.latencies().len(), tasks.len());
+}
+
+/// The `event` names of a JSONL stream, in order.
+fn event_names(text: &str) -> Vec<&str> {
+    text.lines()
+        .map(|line| {
+            Envelope::parse(line).expect("every emitted line parses");
+            line.split("\"event\":\"")
+                .nth(1)
+                .and_then(|rest| rest.split('"').next())
+                .expect("every line names its event")
+        })
+        .collect()
+}
+
+#[test]
+fn a_table4_campaign_emits_exactly_one_envelope() {
+    use sectlb_secbench::report::build_table4;
+    use sectlb_secbench::resilience::CampaignError;
+    use sectlb_secbench::run::TrialSettings;
+    use sectlb_secbench::CheckpointPolicy;
+    use sectlb_sim::machine::TlbDesign;
+
+    let settings = TrialSettings {
+        trials: 6,
+        ..TrialSettings::default()
+    };
+    let workers = NonZeroUsize::new(2).expect("nonzero");
+    let checkpoint =
+        std::env::temp_dir().join(format!("sectlb-telemetry-envelope-{}", std::process::id()));
+    let killed = RunPolicy {
+        checkpoint: Some(CheckpointPolicy::new(checkpoint.clone())),
+        stop_after: Some(20),
+        ..RunPolicy::default()
+    };
+    for (policy, stop_reason) in [(RunPolicy::default(), "complete"), (killed, "kill-after")] {
+        let buf = SharedBuf::default();
+        let telemetry = Telemetry::armed("table4", Some(Box::new(buf.clone())));
+        let built = build_table4(&TlbDesign::ALL, &settings, workers, &policy, &telemetry);
+        match (&built, stop_reason) {
+            (Ok(report), "complete") => assert_eq!(report.run.exit_code(), 0),
+            (Err(CampaignError::Interrupted { .. }), "kill-after") => {}
+            (other, _) => panic!("unexpected outcome {other:?}"),
+        }
+        let bytes = buf.0.lock().expect("buffer lock").clone();
+        let text = String::from_utf8(bytes).expect("stream is UTF-8");
+        let names = event_names(&text);
+        let count = |name: &str| names.iter().filter(|n| **n == name).count();
+        assert_eq!(count("campaign_start"), 1, "{stop_reason}:\n{text}");
+        assert_eq!(count("campaign_stop"), 1, "{stop_reason}:\n{text}");
+        assert_eq!(names.first(), Some(&"campaign_start"));
+        assert_eq!(names.last(), Some(&"campaign_stop"));
+        let last = text.lines().last().expect("stream is not empty");
+        assert!(
+            last.contains(&format!("\"reason\":\"{stop_reason}\"")),
+            "{last}"
+        );
+    }
+    std::fs::remove_file(&checkpoint).ok();
+    std::fs::remove_file(sectlb_secbench::iofault::prev_path(&checkpoint)).ok();
 }
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -158,12 +222,6 @@ fn arb_event() -> impl Strategy<Value = Event> {
             file,
             verdict,
             ops,
-        }),
-        (n, n, s.clone(), n).prop_map(|(task, worker, label, wall_ns)| Event::WorkerStall {
-            task,
-            worker,
-            label,
-            wall_ns,
         }),
         (n, n).prop_map(|(worker, stolen)| Event::StealSummary { worker, stolen }),
         (s.clone(), s.clone(), s.clone()).prop_map(|(path, source, error)| {

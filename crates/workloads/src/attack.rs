@@ -190,15 +190,6 @@ fn attack_window(
     m.tlb_misses() > before
 }
 
-/// Runs the attack on all three designs (convenience for examples and the
-/// `attack_success` bench binary).
-pub fn attack_all_designs(key: &RsaKey, settings: &AttackSettings) -> Vec<AttackOutcome> {
-    TlbDesign::ALL
-        .iter()
-        .map(|&d| prime_probe_attack(key, d, settings))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -85,7 +85,10 @@ fn killed_and_resumed_table4_is_bitwise_identical() {
         &resumed_policy,
     )
     .expect("resumed campaign completes");
-    assert!(resumed.resumed >= 20, "checkpointed shards were skipped");
+    assert!(
+        resumed.run.resumed >= 20,
+        "checkpointed shards were skipped"
+    );
     assert_eq!(resumed.table, reference.table, "resume diverged");
     assert_eq!(
         resumed.table.render(),
@@ -129,7 +132,7 @@ fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
     };
     let report =
         table4_campaign(&settings(), workers(), &transient).expect("transient faults converge");
-    assert!(report.stats.retried() > 0, "faults were injected");
+    assert!(report.run.stats.retried() > 0, "faults were injected");
     assert!(report.quarantined.is_empty(), "all faults were absorbed");
     assert_eq!(report.table, reference.table);
 
@@ -152,7 +155,7 @@ fn injected_panics_retry_to_the_clean_table_or_quarantine_explicitly() {
     );
     assert_eq!(degraded.table.rows.len(), 24, "no row silently dropped");
     assert_eq!(
-        degraded.exit_code(),
+        degraded.run.exit_code(),
         secure_tlbs::secbench::EXIT_QUARANTINED
     );
     for q in &degraded.quarantined {

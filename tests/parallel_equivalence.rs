@@ -74,7 +74,7 @@ fn table4_is_bitwise_identical_across_worker_counts() {
     for workers in [1usize, 4] {
         let report = campaign(workers);
         assert_identical(&report.table, &reference, workers);
-        let stats = report.stats;
+        let stats = report.run.stats;
         assert_eq!(
             stats.trials(),
             u64::from(TRIALS) * 24 * 3,
